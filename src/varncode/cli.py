@@ -44,6 +44,7 @@ EXIT_ORACLE = 4
 EXIT_VIOLATION = 5
 
 _GAP_TOL = 1e-7
+_WRITE_BLOCK = 4096
 
 _REASON = {
     CostSpecError: "parse",
@@ -175,6 +176,15 @@ def emit_json(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _write_joined(parts: list[str], sep: str) -> None:
+    """Write sep.join(parts) a block at a time: one write per line is slow,
+    and one string of the whole output doubles the peak memory."""
+    for k in range(0, len(parts), _WRITE_BLOCK):
+        if k:
+            sys.stdout.write(sep)
+        sys.stdout.write(sep.join(parts[k:k + _WRITE_BLOCK]))
+
+
 def _num(x: float | None):
     if x is None or not math.isfinite(x):
         return None
@@ -248,22 +258,25 @@ def cmd_code(cfg: RunConfig, include_tree: bool = False) -> int:
     tree = build_code(pin, spec, root, trace=cfg.trace)
     rep = report(tree, epsilon=cfg.epsilon)
     if cfg.fmt == "json":
-        payload = {
-            "root": root_dict(spec, root),
-            "codewords": [
-                {"index": i, "letters": list(letters), "cost": cost}
-                for i, letters, cost in tree.codewords()
-            ],
-            "report": rep.to_dict(),
-        }
+        payload = {"root": root_dict(spec, root), "report": rep.to_dict()}
         if include_tree:
             payload["tree"] = tree.to_dict()
         if cfg.trace:
             payload["trace"] = _trace_dict(tree.trace)
-        emit_json(payload)
+        rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # "codewords" sorts before every other key, so the array is written
+        # first, item by item in sorted-key order, from the text lines (a
+        # finite float's repr is also its JSON form).
+        lines = tree.codeword_lines()
+        for k, line in enumerate(lines):
+            i, letters, cost = line.split("\t")
+            lines[k] = f'{{"cost":{cost},"index":{i},"letters":[{letters}]}}'
+        sys.stdout.write('{"codewords":[')
+        _write_joined(lines, ",")
+        sys.stdout.write("]," + rest[1:] + "\n")
     else:
-        for line in tree.codeword_lines():
-            print(line)
+        _write_joined(tree.codeword_lines(), "\n")
+        sys.stdout.write("\n")
         print(f"# cost = {rep.cost!r}")
         print(f"# entropy = {rep.entropy!r}")
         print(f"# lower_bound = {rep.lower_bound!r}")

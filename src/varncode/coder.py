@@ -234,10 +234,28 @@ class CodeTree:
         slot = self._sorted_slot(original_index)
         return float(self._word_cost[self._leaf_node[slot]])
 
+    def _symbol_words(self, piece) -> tuple[list, list[float]]:
+        """Every symbol's codeword and cost, in original symbol order.
+
+        piece(m) is letter m's contribution; a word is the sum, parent first,
+        of its letters' pieces.  Nodes are stored parents-first, so one fold
+        word[v] = word[parent[v]] + piece(letter[v]) builds every node's word.
+        """
+        letter = self._letter.tolist()
+        pieces = [piece(m) for m in range(max(letter) + 1)]
+        words = [pieces[0][:0]]  # the root's empty word
+        append = words.append
+        for p, m in zip(self._parent.tolist()[1:], letter[1:]):
+            append(words[p] + pieces[m])
+        nodes = np.empty(self.n, dtype=np.int64)
+        nodes[self.input.perm] = self._leaf_node
+        costs = np.frombuffer(self._word_cost, dtype=np.float64)[nodes].tolist()
+        return [words[v] for v in nodes.tolist()], costs
+
     def codewords(self):
-        """Yield (original_index, letters, cost) for every symbol."""
-        for i in range(self.n):
-            yield i, self.codeword_letters(i), self.codeword_cost(i)
+        """Iterate over (original_index, letters, cost) for every symbol."""
+        words, costs = self._symbol_words(lambda m: (m,))
+        return zip(range(self.n), words, costs)
 
     def kraft_sum(self) -> float:
         """sum_k 2^(-c * cost of codeword k); at most 1 for any prefix-free code."""
@@ -287,10 +305,11 @@ class CodeTree:
                 d["children"].sort(key=lambda ch: ch["letter_index"])
         return nodes[0]
 
-    def codeword_lines(self):
-        """Yield 'original_index TAB letters TAB cost' lines."""
-        for i, letters, cost in self.codewords():
-            yield f"{i}\t{','.join(str(m) for m in letters)}\t{cost!r}"
+    def codeword_lines(self) -> list[str]:
+        """'original_index TAB comma-separated letters TAB cost' per symbol."""
+        words, costs = self._symbol_words(lambda m: f",{m}")
+        # Each word starts with the comma of its first letter.
+        return [f"{i}\t{w[1:]}\t{c!r}" for i, w, c in zip(range(self.n), words, costs)]
 
     def tree_depth(self) -> int:
         parent = self._parent
@@ -382,14 +401,14 @@ def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot,
         stole = False
         while k <= r:
             m += 1
+            if m >= len(cum):
+                ensure(m)
             if m == finite_t:
                 # Last letter of a finite alphabet: in exact arithmetic every
                 # remaining midpoint lies in this bin; taking them directly
                 # also covers float edges and zero-probability tails.
                 ranges.append((k, r, m))
                 break
-            if m >= len(cum):
-                ensure(m)
             Rm = L + w * cum[m]
             j = bisect_left(s, Rm, k, r + 1) - 1
             if j < k:

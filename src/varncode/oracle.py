@@ -63,7 +63,7 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
         raise OracleTooLargeError(f"n={n} exceeds oracle limit {MAX_N}")
     if t > MAX_T:
         raise OracleTooLargeError(f"t={t} exceeds oracle limit {MAX_T}")
-    costs = spec.costs
+    costs = [spec.letter_cost(m) for m in range(1, t + 1)]
     probs = pinput.probs.tolist()
     cap_used = math.inf if cap is None else float(cap)
 

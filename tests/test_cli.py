@@ -1,21 +1,25 @@
 """Tests for the command line interface: outputs, formats, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
+from varncode import build_code, char_root, parse_cost_spec, prepare, report
 from varncode.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_PARSE,
     EXIT_VIOLATION,
+    _trace_dict,
     main,
     make_probs,
     parse_gen,
     read_probs_file,
+    root_dict,
 )
 
 
@@ -196,6 +200,14 @@ def test_oracle_json(capsys):
     assert d["cost_cap_used"] is None  # infinity serializes as null
 
 
+def test_finite_profile_code_and_oracle(capsys):
+    argv = ("--costs", "profile:1,1", "--inline", "0.5,0.3,0.2")
+    code, _, err = run(capsys, "code", *argv)
+    assert code == EXIT_OK, err
+    d = run_json(capsys, "oracle", *argv, "--format", "json")
+    assert d["opt_cost"] == pytest.approx(2.2, abs=1e-12)
+
+
 def test_compare_clean(capsys):
     d = run_json(
         capsys, "compare", "--costs", "finite:1,3", "--gen", "uniform:7",
@@ -244,6 +256,58 @@ def test_json_output_is_byte_stable(capsys):
     code2, out2, _ = run(capsys, *argv)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+def reference_code_output(costs, gen, fmt, trace=False, tree=False):
+    """`code` output the pre-writer way: a dict payload through json.dumps,
+    or one print per text line (text stops before any trace lines)."""
+    spec = parse_cost_spec(costs)
+    root = char_root(spec)
+    built = build_code(prepare(parse_gen(gen, 0)), spec, root, trace=trace)
+    rep = report(built)
+    words = [(i, built.codeword_letters(i), built.codeword_cost(i))
+             for i in range(built.n)]
+    buf = io.StringIO()
+    if fmt == "json":
+        payload = {
+            "root": root_dict(spec, root),
+            "codewords": [{"index": i, "letters": list(letters), "cost": cost}
+                          for i, letters, cost in words],
+            "report": rep.to_dict(),
+        }
+        if tree:
+            payload["tree"] = built.to_dict()
+        if trace:
+            payload["trace"] = _trace_dict(built.trace)
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=buf)
+    else:
+        for i, letters, cost in words:
+            print(f"{i}\t{','.join(str(m) for m in letters)}\t{cost!r}", file=buf)
+        print(f"# cost = {rep.cost!r}", file=buf)
+        print(f"# entropy = {rep.entropy!r}", file=buf)
+        print(f"# lower_bound = {rep.lower_bound!r}", file=buf)
+        print(f"# redundancy = {rep.redundancy!r}  nr = {rep.nr!r}", file=buf)
+    return buf.getvalue()
+
+
+# zipf:1.0,9000 spans three write blocks.
+@pytest.mark.parametrize("costs,gen", [
+    ("linear", "zipf:1.0,9000"),
+    ("finite:1,2", "uniform:300"),
+    ("fib", "dyadic:40"),
+    ("finite:1,1,5", "uniform:1"),
+])
+@pytest.mark.parametrize("flags", [(), ("--trace",), ("--tree",), ("--trace", "--tree")])
+def test_code_output_matches_reference(capsys, costs, gen, flags):
+    trace, tree = "--trace" in flags, "--tree" in flags
+    code, out, _ = run(capsys, "code", "--costs", costs, "--gen", gen,
+                       "--format", "json", *flags)
+    assert code == EXIT_OK
+    assert out == reference_code_output(costs, gen, "json", trace, tree)
+    code, out, _ = run(capsys, "code", "--costs", costs, "--gen", gen, *flags)
+    assert code == EXIT_OK
+    ref = reference_code_output(costs, gen, "text")
+    assert out.startswith(ref) if trace else out == ref
 
 
 def test_seeded_generator_stable_across_runs(capsys):

@@ -18,9 +18,11 @@ from varncode import (
     parse_cost_spec,
     prepare,
     repeat,
+    report,
     telegraph,
     verify_prefix_free,
 )
+from varncode.cli import make_probs
 
 THIRDS_SIXTHS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
 
@@ -247,6 +249,33 @@ def test_codeword_lines_format():
     assert float(first[2]) == tree.codeword_cost(0)
 
 
+def reference_codewords(tree):
+    """Codewords the pre-fold way: one leaf-to-root parent walk per symbol."""
+    return [(i, tree.codeword_letters(i), tree.codeword_cost(i)) for i in range(tree.n)]
+
+
+def reference_lines(tree):
+    return [f"{i}\t{','.join(str(m) for m in letters)}\t{cost!r}"
+            for i, letters, cost in reference_codewords(tree)]
+
+
+FOLD_SPECS = ("linear", "finite:1,2", "fib", "finite:1,1,5", "profile:1,1")
+
+
+@pytest.mark.parametrize("spec_text", FOLD_SPECS)
+@pytest.mark.parametrize("probs", [
+    make_probs("zipf:1.0", 400, 0),
+    make_probs("uniform", 300, 5),
+    make_probs("dyadic", 40, 0),
+    [1.0],
+    [1.0] + [0.0] * 2000,
+], ids=["zipf", "uniform", "dyadic", "n1", "zero_chain"])
+def test_codeword_fold_matches_parent_walk(spec_text, probs):
+    tree = build(probs, spec_text)
+    assert list(tree.codewords()) == reference_codewords(tree)
+    assert list(tree.codeword_lines()) == reference_lines(tree)
+
+
 # ---------------------------------------------------------------------------
 # structural properties over random instances
 # ---------------------------------------------------------------------------
@@ -402,3 +431,21 @@ def test_verify_prefix_free_detects_violations():
     assert not verify_prefix_free([(2, 1), (2, 1)])
     assert verify_prefix_free([])
     assert verify_prefix_free([(3, 1, 4)])
+
+
+@pytest.mark.parametrize("spec_text", ["profile:1,1", "profile:0,2", "profile:1,0,3"])
+def test_finite_profiles_build_valid_codes(spec_text):
+    # The last letter of a finite profile used to be read before the lazy
+    # letter table held it (IndexError on nearly every input).
+    spec = parse_cost_spec(spec_text)
+    root = char_root(spec)
+    rng = np.random.default_rng(23)
+    for n in range(2, 41):
+        pin = prepare(rng.random(n) + 1e-3, normalize=True)
+        tree = build_code(pin, spec, root)
+        assert verify_prefix_free([w for _, w, _ in tree.codewords()])
+        assert tree.kraft_sum() <= 1.0 + 1e-9
+        rep = report(tree)
+        for b in rep.bounds:
+            if b.applicable:
+                assert rep.nr <= b.value + 1e-7, (n, b.name)

@@ -77,6 +77,16 @@ def test_result_invariants():
             )
 
 
+def test_finite_profile_matches_finite_list():
+    # A finite profile has no cost list; the oracle reads its letter costs.
+    profile = parse_cost_spec("profile:1,1")
+    costs = parse_cost_spec("finite:1,2")
+    rng = np.random.default_rng(8)
+    for n in range(1, 9):
+        pin = prepare(rng.random(n) + 1e-3, normalize=True)
+        assert exact_opt(pin, profile) == exact_opt(pin, costs)
+
+
 def test_determinism():
     pin = prepare([0.4, 0.3, 0.2, 0.1])
     spec = parse_cost_spec("finite:1,2")
