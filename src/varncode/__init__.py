@@ -31,7 +31,6 @@ from .coder import (
     ProbInput,
     SplitTrace,
     build_code,
-    codeword_cost,
     prepare,
     verify_prefix_free,
 )
@@ -39,10 +38,8 @@ from .costs import (
     CharRoot,
     CostSpec,
     balanced_words,
-    beta_of,
     char_root,
     custom_profile,
-    d_profile_of,
     fibonacci,
     finite_list,
     linear,
@@ -50,7 +47,6 @@ from .costs import (
     repeat,
     tail_sum_g,
     telegraph,
-    word_count_profile,
 )
 from .errors import (
     BetaInfiniteError,
@@ -67,5 +63,3 @@ from .errors import (
     VarncodeError,
 )
 from .oracle import OracleResult, exact_opt, huffman_equal_cost
-
-__all__ = [name for name in dir() if not name.startswith("_")]

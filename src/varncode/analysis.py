@@ -217,11 +217,8 @@ class AnalysisReport:
                 return b
         raise KeyError(name)
 
-    def applicable_values(self) -> list[float]:
-        return [b.value for b in self.bounds if b.applicable]
-
     def min_applicable(self) -> float | None:
-        vals = self.applicable_values()
+        vals = [b.value for b in self.bounds if b.applicable]
         return min(vals) if vals else None
 
     def to_dict(self) -> dict:
@@ -235,18 +232,16 @@ class AnalysisReport:
         }
 
 
-def report(tree: CodeTree, pinput: ProbInput | None = None,
-           spec: CostSpec | None = None, root: CharRoot | None = None,
-           epsilon: float | None = None) -> AnalysisReport:
+def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
     """Evaluate cost, entropy, redundancy, and the full bound table.
 
-    The tree carries its input, spec, and root; pass them explicitly only to
-    override.  `epsilon` enables the approximation-bound row, reported in NR
-    form: 2(1-p1) + c(c2-c1) + c*N_eps + (eps/2)*c*C(T).
+    The tree carries its input, spec, and root.  `epsilon` enables the
+    approximation-bound row, reported in NR form:
+    2(1-p1) + c(c2-c1) + c*N_eps + (eps/2)*c*C(T).
     """
-    pinput = pinput if pinput is not None else tree.input
-    spec = spec if spec is not None else tree.spec
-    root = root if root is not None else tree.root
+    pinput = tree.input
+    spec = tree.spec
+    root = tree.root
     c = root.value
     C = tree.cost()
     H = entropy(pinput)

@@ -14,69 +14,22 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .analysis import approx_bound, entropy, report
-from .coder import build_code, prepare, verify_prefix_free
+from .analysis import approx_bound, report
+from .coder import build_code, prepare
 from .costs import char_root, parse_cost_spec
-from .errors import (
-    BetaInfiniteError,
-    BinUnderflowError,
-    CapTooSmallError,
-    CostSpecError,
-    DivergentSpecError,
-    DivergentTailError,
-    InfiniteAlphabetError,
-    NoRootError,
-    OracleTooLargeError,
-    ProbInputError,
-    UnboundedProfileError,
-)
+from .errors import ProbInputError, VarncodeError
 from .oracle import exact_opt
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_NUMERIC = 3
-EXIT_ORACLE = 4
 EXIT_VIOLATION = 5
 
 _GAP_TOL = 1e-7
 _WRITE_BLOCK = 4096
-
-_REASON = {
-    CostSpecError: "parse",
-    ProbInputError: "parse",
-    NoRootError: "no_root",
-    DivergentSpecError: "divergent_spec",
-    DivergentTailError: "divergent_tail",
-    UnboundedProfileError: "unbounded_profile",
-    BetaInfiniteError: "beta_infinite",
-    InfiniteAlphabetError: "infinite_alphabet",
-    BinUnderflowError: "bin_underflow",
-    OracleTooLargeError: "oracle_too_large",
-    CapTooSmallError: "cap_too_small",
-}
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation depends on; seed fixes generated inputs."""
-
-    command: str
-    cost_text: str | None = None
-    probs_path: str | None = None
-    inline: str | None = None
-    gen: str | None = None
-    seed: int = 0
-    normalize: bool = False
-    fmt: str = "text"
-    epsilon: float | None = None
-    tol: float = 1e-12
-    trace: bool = False
-    cap: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +105,17 @@ def read_probs_file(path: str) -> list[float]:
     return values
 
 
-def load_input(cfg: RunConfig):
-    if cfg.probs_path is not None:
-        raw = read_probs_file(cfg.probs_path)
-    elif cfg.inline is not None:
+def load_input(args: argparse.Namespace):
+    if args.probs is not None:
+        raw = read_probs_file(args.probs)
+    elif args.inline is not None:
         try:
-            raw = [float(p) for p in cfg.inline.split(",") if p.strip()]
+            raw = [float(p) for p in args.inline.split(",") if p.strip()]
         except ValueError as exc:
-            raise ProbInputError(f"bad inline probabilities {cfg.inline!r}") from exc
-    elif cfg.gen is not None:
-        raw = parse_gen(cfg.gen, cfg.seed)
+            raise ProbInputError(f"bad inline probabilities {args.inline!r}") from exc
     else:
-        raise ProbInputError("no probability source given")
-    return prepare(raw, normalize=cfg.normalize)
+        raw = parse_gen(args.gen, args.seed)
+    return prepare(raw, normalize=args.normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +159,10 @@ def root_dict(spec, root) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_root(cfg: RunConfig) -> int:
-    spec = parse_cost_spec(cfg.cost_text)
-    root = char_root(spec, tol=cfg.tol)
-    if cfg.fmt == "json":
+def cmd_root(args: argparse.Namespace) -> int:
+    spec = parse_cost_spec(args.costs)
+    root = char_root(spec, tol=args.tol)
+    if args.fmt == "json":
         emit_json(root_dict(spec, root))
     else:
         beta = "inf" if not math.isfinite(root.beta) else repr(root.beta)
@@ -222,6 +173,16 @@ def cmd_root(cfg: RunConfig) -> int:
         print(f"beta = {beta}")
         print(f"tail_convergent = {root.tail_convergent}")
     return EXIT_OK
+
+
+def _build(args: argparse.Namespace, trace: bool = False):
+    """Parse, root, load, build and report: the steps code, bounds and
+    compare share."""
+    spec = parse_cost_spec(args.costs)
+    root = char_root(spec, tol=args.tol)
+    pin = load_input(args)
+    tree = build_code(pin, spec, root, trace=trace)
+    return spec, root, pin, tree, report(tree, epsilon=args.epsilon)
 
 
 def _trace_dict(trace) -> list:
@@ -251,19 +212,18 @@ def _trace_dict(trace) -> list:
     return out
 
 
-def cmd_code(cfg: RunConfig, include_tree: bool = False) -> int:
-    spec = parse_cost_spec(cfg.cost_text)
-    root = char_root(spec, tol=cfg.tol)
-    pin = load_input(cfg)
-    tree = build_code(pin, spec, root, trace=cfg.trace)
-    rep = report(tree, epsilon=cfg.epsilon)
-    if cfg.fmt == "json":
+def cmd_code(args: argparse.Namespace) -> int:
+    spec, root, _, tree, rep = _build(args, trace=args.trace)
+    if args.fmt == "json":
         payload = {"root": root_dict(spec, root), "report": rep.to_dict()}
-        if include_tree:
-            payload["tree"] = tree.to_dict()
-        if cfg.trace:
+        if args.trace:
             payload["trace"] = _trace_dict(tree.trace)
         rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        if args.tree:
+            # "tree" sorts last; to_json raises the recursion limit that a
+            # deep tree's nested form needs.
+            tree_json = tree.to_json(sort_keys=True, separators=(",", ":"))
+            rest = rest[:-1] + ',"tree":' + tree_json + "}"
         # "codewords" sorts before every other key, so the array is written
         # first, item by item in sorted-key order, from the text lines (a
         # finite float's repr is also its JSON form).
@@ -281,7 +241,7 @@ def cmd_code(cfg: RunConfig, include_tree: bool = False) -> int:
         print(f"# entropy = {rep.entropy!r}")
         print(f"# lower_bound = {rep.lower_bound!r}")
         print(f"# redundancy = {rep.redundancy!r}  nr = {rep.nr!r}")
-        if cfg.trace:
+        if args.trace:
             for e in tree.trace.events:
                 flags = []
                 if e.left_shifted:
@@ -299,13 +259,9 @@ def cmd_code(cfg: RunConfig, include_tree: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    spec = parse_cost_spec(cfg.cost_text)
-    root = char_root(spec, tol=cfg.tol)
-    pin = load_input(cfg)
-    tree = build_code(pin, spec, root)
-    rep = report(tree, epsilon=cfg.epsilon)
-    if cfg.fmt == "json":
+def cmd_bounds(args: argparse.Namespace) -> int:
+    spec, root, _, _, rep = _build(args)
+    if args.fmt == "json":
         emit_json(rep.to_dict())
     else:
         print(f"cost = {rep.cost!r}")
@@ -318,8 +274,8 @@ def cmd_bounds(cfg: RunConfig) -> int:
                 print(f"{b.name}: {b.value!r}")
             else:
                 print(f"{b.name}: n/a ({b.reason})")
-        if cfg.epsilon is not None and root.tail_convergent:
-            ab = approx_bound(spec, root, cfg.epsilon)
+        if args.epsilon is not None and root.tail_convergent:
+            ab = approx_bound(spec, root, args.epsilon)
             print(
                 f"approx: C <= (1+{ab.epsilon:g})*OPT + {ab.f_value!r}"
                 f"  (N_eps={ab.cost_threshold:g}, m_eps={ab.index_threshold})"
@@ -327,11 +283,11 @@ def cmd_bounds(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    spec = parse_cost_spec(cfg.cost_text)
-    pin = load_input(cfg)
-    res = exact_opt(pin, spec, cap=cfg.cap)
-    if cfg.fmt == "json":
+def cmd_oracle(args: argparse.Namespace) -> int:
+    spec = parse_cost_spec(args.costs)
+    pin = load_input(args)
+    res = exact_opt(pin, spec, cap=args.cap)
+    if args.fmt == "json":
         emit_json({
             "opt_cost": res.opt_cost,
             "codeword_costs": list(res.opt_codeword_costs),
@@ -348,12 +304,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    spec = parse_cost_spec(cfg.cost_text)
-    root = char_root(spec, tol=cfg.tol)
-    pin = load_input(cfg)
-    tree = build_code(pin, spec, root)
-    rep = report(tree, epsilon=cfg.epsilon)
+def cmd_compare(args: argparse.Namespace) -> int:
+    spec, root, pin, tree, rep = _build(args)
     res = exact_opt(pin, spec, cap=tree.cost())
     c = root.value
     gap = rep.cost - res.opt_cost
@@ -375,7 +327,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         "nodes_explored": res.nodes_explored,
         "violations": violations,
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         emit_json(payload)
     else:
         print(f"C(T) = {rep.cost!r}")
@@ -389,16 +341,17 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def cmd_bench(cfg: RunConfig, sizes, dist: str, repeats: int) -> int:
-    spec = parse_cost_spec(cfg.cost_text)
-    root = char_root(spec, tol=cfg.tol)
+def cmd_bench(args: argparse.Namespace) -> int:
+    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    spec = parse_cost_spec(args.costs)
+    root = char_root(spec, tol=args.tol)
     rows = []
     for n in sizes:
-        probs = make_probs(dist, n, cfg.seed)
+        probs = make_probs(args.dist, n, args.seed)
         pin = prepare(probs)
         times = []
         tree = None
-        for _ in range(max(1, repeats)):
+        for _ in range(max(1, args.repeats)):
             t0 = time.perf_counter()
             tree = build_code(pin, spec, root)
             times.append(time.perf_counter() - t0)
@@ -462,11 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("root", help="characteristic root of a cost spec")
+    p.set_defaults(run=cmd_root)
     _add_costs(p)
     _add_format(p)
     p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("code", help="build a code and print codewords + report")
+    p.set_defaults(run=cmd_code)
     _add_costs(p)
     _add_probs(p)
     _add_format(p)
@@ -478,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the serialized tree in JSON output")
 
     p = sub.add_parser("bounds", help="entropy, redundancy, and bound table")
+    p.set_defaults(run=cmd_bounds)
     _add_costs(p)
     _add_probs(p)
     _add_format(p)
@@ -485,6 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
 
     p = sub.add_parser("oracle", help="exact optimum for small instances")
+    p.set_defaults(run=cmd_oracle)
     _add_costs(p)
     _add_probs(p)
     _add_format(p)
@@ -492,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="prune the search above this cost")
 
     p = sub.add_parser("compare", help="constructed cost vs exact optimum")
+    p.set_defaults(run=cmd_compare)
     _add_costs(p)
     _add_probs(p)
     _add_format(p)
@@ -499,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=None)
 
     p = sub.add_parser("bench", help="build-time CSV over instance sizes")
+    p.set_defaults(run=cmd_bench)
     _add_costs(p)
     p.add_argument("--sizes", default="1000,10000,100000,1000000",
                    help="comma-separated instance sizes")
@@ -511,55 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        cost_text=getattr(args, "costs", None),
-        probs_path=getattr(args, "probs", None),
-        inline=getattr(args, "inline", None),
-        gen=getattr(args, "gen", None),
-        seed=getattr(args, "seed", 0),
-        normalize=getattr(args, "normalize", False),
-        fmt=getattr(args, "fmt", "text"),
-        epsilon=getattr(args, "epsilon", None),
-        tol=getattr(args, "tol", 1e-12),
-        trace=getattr(args, "trace", False),
-        cap=getattr(args, "cap", None),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from(args)
     try:
-        if cfg.command == "root":
-            return cmd_root(cfg)
-        if cfg.command == "code":
-            return cmd_code(cfg, include_tree=getattr(args, "tree", False))
-        if cfg.command == "bounds":
-            return cmd_bounds(cfg)
-        if cfg.command == "oracle":
-            return cmd_oracle(cfg)
-        if cfg.command == "compare":
-            return cmd_compare(cfg)
-        if cfg.command == "bench":
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-            return cmd_bench(cfg, sizes, args.dist, args.repeats)
-        raise AssertionError(f"unhandled command {cfg.command}")
-    except (OSError, json.JSONDecodeError) as exc:
+        return args.run(args)
+    except (OSError, ValueError) as exc:
         print(f"error parse: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error parse: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except tuple(_REASON) as exc:
-        token = _REASON[type(exc)]
-        print(f"error {token}: {exc}", file=sys.stderr)
-        if token == "parse":
-            return EXIT_PARSE
-        if token in ("oracle_too_large", "cap_too_small"):
-            return EXIT_ORACLE
-        return EXIT_NUMERIC
+    except VarncodeError as exc:
+        print(f"error {exc.reason}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

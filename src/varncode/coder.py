@@ -182,12 +182,6 @@ class CodeTree:
     def letter_of(self, v: int) -> int:
         return self._letter[v]
 
-    def weight_of(self, v: int) -> float:
-        return self._weight[v]
-
-    def child_count_of(self, v: int) -> int:
-        return self._child_count[v]
-
     def is_leaf(self, v: int) -> bool:
         return self._leaf[v] >= 0
 
@@ -478,11 +472,6 @@ def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot,
     return CodeTree(spec, root, pinput, parent, letter, weight, leaf,
                     word_cost, child_count, leaf_node, lcosts,
                     trace=SplitTrace(events) if trace else None)
-
-
-def codeword_cost(tree: CodeTree, original_index: int) -> float:
-    """Cost of one symbol's codeword (sum of its letters' costs)."""
-    return tree.codeword_cost(original_index)
 
 
 def verify_prefix_free(words) -> bool:

@@ -41,6 +41,26 @@ def _geom_weighted_tail(z: float, level: int) -> float:
     return z ** (m + 1) * ((m + 1) - m * z) / (1.0 - z) ** 2
 
 
+def _dominated_tail(multiplicity, level: int, z: float, rho: float) -> float:
+    """sum_{j > level} j d_j z^j for multiplicities d_j <= rho^(j-1), rho*z < 1.
+
+    Terms are summed until the geometric-derivative tail of r = rho*z, scaled
+    by 1/rho, bounds the remainder by half the tail tolerance.
+    """
+    r = rho * z
+    terms = []
+    j = level
+    while True:
+        j += 1
+        bound = _geom_weighted_tail(r, j - 1) / rho
+        if bound <= 0.5 * _TAIL_TOL:
+            break
+        d = multiplicity(j)
+        if d:
+            terms.append(j * d * z ** j)
+    return math.fsum(terms)
+
+
 # ---------------------------------------------------------------------------
 # profile families
 # ---------------------------------------------------------------------------
@@ -197,18 +217,8 @@ class FibonacciFamily(ProfileFamily):
     def weighted_tail_after(self, level, z):
         if not self.tail_convergent_at(z):
             raise DivergentTailError("fibonacci tail diverges at z >= 1/phi")
-        # F_j <= phi^(j-1), so the remainder past j0 is bounded by the
-        # geometric-derivative tail of r = phi*z < 1, scaled by 1/phi.
-        r = _PHI * z
-        terms = []
-        j = level
-        while True:
-            j += 1
-            bound = _geom_weighted_tail(r, j - 1) / _PHI
-            if bound <= 0.5 * _TAIL_TOL:
-                break
-            terms.append(j * self.multiplicity(j) * z ** j)
-        return math.fsum(terms)
+        # F_j <= phi^(j-1)
+        return _dominated_tail(self.multiplicity, level, z, _PHI)
 
 
 class BalancedWordsFamily(ProfileFamily):
@@ -248,34 +258,21 @@ class BalancedWordsFamily(ProfileFamily):
     def weighted_tail_after(self, level, z):
         if not self.tail_convergent_at(z):
             raise DivergentTailError("balanced-word tail diverges at z >= 1/2")
-        # d_j <= 2 * 4^(j/2 - 1) = 2^(j-1), so bound the remainder by the
-        # geometric-derivative tail of r = 2z < 1, halved.
-        r = 2.0 * z
-        terms = []
-        j = level
-        while True:
-            j += 1
-            bound = 0.5 * _geom_weighted_tail(r, j - 1)
-            if bound <= 0.5 * _TAIL_TOL:
-                break
-            d = self.multiplicity(j)
-            if d:
-                terms.append(j * d * z ** j)
-        return math.fsum(terms)
+        # d_j <= 2 * 4^(j/2 - 1) = 2^(j-1)
+        return _dominated_tail(self.multiplicity, level, z, 2.0)
 
 
 class CustomProfileFamily(ProfileFamily):
     """Explicit multiplicity prefix with a zero or repeating tail.
 
     `prefix` lists d_1..d_J.  With tail "zero" the alphabet ends at level J;
-    with tail "repeat" every level past J repeats d_J.  An optional dominator
-    (rho, A) asserts d_j <= A * rho^j and is validated against the declared
-    coefficients.
+    with tail "repeat" every level past J repeats d_J.  Either tail decides
+    convergence exactly, so no further certificate is needed.
     """
 
     name = "profile"
 
-    def __init__(self, prefix, tail="zero", dominator=None):
+    def __init__(self, prefix, tail="zero"):
         prefix = tuple(int(d) for d in prefix)
         if not prefix or any(d < 0 for d in prefix):
             raise CostSpecError("profile prefix must be nonempty with d_j >= 0")
@@ -287,21 +284,6 @@ class CustomProfileFamily(ProfileFamily):
             raise CostSpecError("repeating profile needs a positive coefficient")
         self.prefix = prefix
         self.tail = tail
-        self.dominator = None
-        if dominator is not None:
-            rho, amp = float(dominator[0]), float(dominator[1])
-            if rho <= 0.0 or amp <= 0.0:
-                raise CostSpecError("dominator parameters must be positive")
-            for j, d in enumerate(prefix, start=1):
-                if d > amp * rho ** j + 1e-9:
-                    raise CostSpecError(
-                        f"dominator violated at level {j}: d_j={d} > A*rho^j"
-                    )
-            if tail == "repeat" and prefix[-1] > 0:
-                j1 = len(prefix) + 1
-                if rho < 1.0 or prefix[-1] > amp * rho ** j1 + 1e-9:
-                    raise CostSpecError("dominator violated by the repeating tail")
-            self.dominator = (rho, amp)
 
     def multiplicity(self, j):
         if j <= len(self.prefix):
@@ -526,8 +508,8 @@ def telegraph() -> CostSpec:
     return finite_list((1.0, 2.0), label="telegraph")
 
 
-def custom_profile(prefix, tail="zero", dominator=None, label="") -> CostSpec:
-    fam = CustomProfileFamily(prefix, tail=tail, dominator=dominator)
+def custom_profile(prefix, tail="zero", label="") -> CostSpec:
+    fam = CustomProfileFamily(prefix, tail=tail)
     if not label:
         label = "profile:" + ",".join(str(d) for d in fam.prefix)
     return CostSpec(family=fam, label=label)
@@ -535,28 +517,6 @@ def custom_profile(prefix, tail="zero", dominator=None, label="") -> CostSpec:
 
 def _fmt(x: float) -> str:
     return f"{x:g}"
-
-
-def word_count_profile(nonterminal_costs, terminal_costs, up_to: int) -> tuple[int, ...]:
-    """Multiplicities of the alphabet whose letters are words N* T.
-
-    Counts, for each total cost j = 1..up_to, the words made of any sequence
-    of "nonterminal" letters followed by exactly one "terminal" letter, with
-    integer letter costs.  This is how structured infinite alphabets (one-ended
-    codes, run-length constraints) reduce to an integer-cost profile.
-    """
-    nts = [int(c) for c in nonterminal_costs]
-    ts = [int(c) for c in terminal_costs]
-    if any(c < 1 for c in nts + ts):
-        raise CostSpecError("letter costs must be positive integers")
-    ways = [0] * (up_to + 1)
-    ways[0] = 1
-    for j in range(1, up_to + 1):
-        ways[j] = sum(ways[j - c] for c in nts if c <= j)
-    out = []
-    for j in range(1, up_to + 1):
-        out.append(sum(ways[j - c] for c in ts if c <= j))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +534,7 @@ def parse_cost_spec(text: str) -> CostSpec:
         repeat:d              d letters of each integer cost
         fib                   Fibonacci multiplicities
         balanced              balanced-word multiplicities
-        profile:d1,d2,...[;dominator=rho,A][;tail=zero|repeat]
+        profile:d1,d2,...[;tail=zero|repeat]
     """
     s = text.strip()
     if not s:
@@ -633,22 +593,13 @@ def parse_cost_spec(text: str) -> CostSpec:
         if any(v != int(v) or v < 0 for v in coeffs):
             raise CostSpecError("profile coefficients must be integers >= 0")
         tail = "zero"
-        dominator = None
         for opt in pieces[1:]:
-            key, eq, val = opt.partition("=")
+            key, _, val = opt.partition("=")
             key = key.strip().lower()
-            if key == "dominator":
-                dv = _parse_floats(val, "dominator")
-                if len(dv) != 2:
-                    raise CostSpecError("dominator takes two numbers: rho,A")
-                dominator = (dv[0], dv[1])
-            elif key == "tail":
-                tail = val.strip().lower()
-            else:
+            if key != "tail":
                 raise CostSpecError(f"unknown profile option {key!r}")
-        return custom_profile(
-            [int(v) for v in coeffs], tail=tail, dominator=dominator, label=s
-        )
+            tail = val.strip().lower()
+        return custom_profile([int(v) for v in coeffs], tail=tail, label=s)
 
     raise CostSpecError(f"unknown cost spec {text!r}")
 
@@ -789,17 +740,6 @@ def _beta_value(spec: CostSpec, c: float) -> float:
     # d_j = K at infinitely many levels for the built-in families, where
     # this is the exact supremum (attained in the limit).
     return K / (1.0 - z)
-
-
-def beta_of(spec: CostSpec, root: CharRoot | float) -> float:
-    """beta for a spec at its characteristic root (math.inf when unbounded)."""
-    c = root.value if isinstance(root, CharRoot) else float(root)
-    return _beta_value(spec, c)
-
-
-def d_profile_of(spec: CostSpec, up_to: int) -> tuple[int, ...]:
-    """Multiplicities d_1..d_up_to of a spec (see CostSpec.d_profile)."""
-    return spec.d_profile(up_to)
 
 
 def tail_sum_g(spec: CostSpec, root: CharRoot | float, from_index: int) -> float:

@@ -1,49 +1,82 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class names the token the CLI prints (`error <reason>: ...`) and the
+exit code it returns: 2 input, 3 numeric, 4 oracle limits.
+"""
 
 
 class VarncodeError(Exception):
     """Base class for all package errors."""
 
+    reason = "numeric"
+    exit_code = 3
+
 
 class CostSpecError(VarncodeError):
     """Malformed cost specification (empty, nonpositive cost, bad DSL string)."""
+
+    reason = "parse"
+    exit_code = 2
 
 
 class ProbInputError(VarncodeError):
     """Malformed probability input (negative entry, all zero, bad sum)."""
 
+    reason = "parse"
+    exit_code = 2
+
 
 class NoRootError(VarncodeError):
     """The characteristic sum stays below 1 over its whole convergence region."""
+
+    reason = "no_root"
 
 
 class DivergentSpecError(VarncodeError):
     """The characteristic sum diverges everywhere it was asked to be evaluated."""
 
+    reason = "divergent_spec"
+
 
 class DivergentTailError(VarncodeError):
     """The cost-weighted tail sum of the alphabet diverges at the characteristic root."""
+
+    reason = "divergent_tail"
 
 
 class UnboundedProfileError(VarncodeError):
     """A bound needing max multiplicity K was requested but the profile is unbounded."""
 
+    reason = "unbounded_profile"
+
 
 class BetaInfiniteError(VarncodeError):
     """A bound needing finite beta was requested but beta is infinite."""
+
+    reason = "beta_infinite"
 
 
 class InfiniteAlphabetError(VarncodeError):
     """A finite-alphabet-only quantity was requested for an infinite alphabet."""
 
+    reason = "infinite_alphabet"
+
 
 class BinUnderflowError(VarncodeError):
     """A split bin's floating-point width collapsed to zero with positive mass left."""
+
+    reason = "bin_underflow"
 
 
 class OracleTooLargeError(VarncodeError):
     """Instance exceeds the exhaustive oracle's size limits."""
 
+    reason = "oracle_too_large"
+    exit_code = 4
+
 
 class CapTooSmallError(VarncodeError):
     """No prefix-free code exists at or below the supplied cost cap."""
+
+    reason = "cap_too_small"
+    exit_code = 4

@@ -7,11 +7,16 @@ import sys
 
 import pytest
 
-from varncode import build_code, char_root, parse_cost_spec, prepare, report
+from varncode import (
+    VarncodeError,
+    build_code,
+    char_root,
+    parse_cost_spec,
+    prepare,
+    report,
+)
 from varncode.cli import (
-    EXIT_NUMERIC,
     EXIT_OK,
-    EXIT_ORACLE,
     EXIT_PARSE,
     EXIT_VIOLATION,
     _trace_dict,
@@ -21,6 +26,9 @@ from varncode.cli import (
     read_probs_file,
     root_dict,
 )
+
+EXIT_NUMERIC = 3
+EXIT_ORACLE = 4
 
 
 def run(capsys, *argv):
@@ -200,6 +208,26 @@ def test_oracle_json(capsys):
     assert d["cost_cap_used"] is None  # infinity serializes as null
 
 
+def test_code_json_tree_of_a_deep_chain(capsys, tmp_path):
+    # a zero-mass chain nests the tree 2001 levels deep
+    path = tmp_path / "chain.txt"
+    path.write_text("\n".join(["1"] + ["0"] * 2000))
+    code, out, err = run(capsys, "code", "--costs", "finite:1,2", "--probs",
+                         str(path), "--format", "json", "--tree")
+    assert code == EXIT_OK, err
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        node = json.loads(out)["tree"]
+    finally:
+        sys.setrecursionlimit(limit)
+    levels = 1
+    while "children" in node:
+        node = node["children"][-1]
+        levels += 1
+    assert levels == 2001
+
+
 def test_finite_profile_code_and_oracle(capsys):
     argv = ("--costs", "profile:1,1", "--inline", "0.5,0.3,0.2")
     code, _, err = run(capsys, "code", *argv)
@@ -359,6 +387,43 @@ def test_exit_oracle_errors(capsys):
                        "--inline", "0.5,0.5", "--cap", "0.25")
     assert code == EXIT_ORACLE
     assert err.startswith("error cap_too_small:")
+
+
+# The reason token and exit code each error class maps to.
+ERROR_MAPPING = {
+    "CostSpecError": ("parse", 2),
+    "ProbInputError": ("parse", 2),
+    "NoRootError": ("no_root", 3),
+    "DivergentSpecError": ("divergent_spec", 3),
+    "DivergentTailError": ("divergent_tail", 3),
+    "UnboundedProfileError": ("unbounded_profile", 3),
+    "BetaInfiniteError": ("beta_infinite", 3),
+    "InfiniteAlphabetError": ("infinite_alphabet", 3),
+    "BinUnderflowError": ("bin_underflow", 3),
+    "OracleTooLargeError": ("oracle_too_large", 4),
+    "CapTooSmallError": ("cap_too_small", 4),
+}
+
+
+def test_every_error_maps_to_its_reason_and_exit_code(capsys, monkeypatch):
+    classes = VarncodeError.__subclasses__()
+    assert sorted(cls.__name__ for cls in classes) == sorted(ERROR_MAPPING)
+    for cls in classes:
+        def fail(text, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr("varncode.cli.parse_cost_spec", fail)
+        code, out, err = run(capsys, "root", "--costs", "linear")
+        reason, exit_code = ERROR_MAPPING[cls.__name__]
+        assert err == f"error {reason}: boom\n"
+        assert code == exit_code == cls.exit_code
+        assert out == ""
+
+
+def test_dominator_option_is_rejected(capsys):
+    code, _, err = run(capsys, "root", "--costs", "profile:1,2;dominator=3,1")
+    assert code == EXIT_PARSE
+    assert "unknown profile option 'dominator'" in err
 
 
 def test_epsilon_out_of_range(capsys):

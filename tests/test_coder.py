@@ -12,7 +12,6 @@ from varncode import (
     ProbInputError,
     build_code,
     char_root,
-    codeword_cost,
     finite_list,
     linear,
     parse_cost_spec,
@@ -187,7 +186,6 @@ def test_codeword_costs_match_letters():
         word = tree.codeword_letters(i)
         direct = sum(spec_costs[m - 1] for m in word)
         assert tree.codeword_cost(i) == pytest.approx(direct, abs=1e-12)
-        assert codeword_cost(tree, i) == tree.codeword_cost(i)
 
 
 def test_cost_is_weighted_codeword_cost():

@@ -10,10 +10,8 @@ from varncode import (
     DivergentTailError,
     NoRootError,
     balanced_words,
-    beta_of,
     char_root,
     custom_profile,
-    d_profile_of,
     fibonacci,
     finite_list,
     linear,
@@ -21,9 +19,14 @@ from varncode import (
     repeat,
     tail_sum_g,
     telegraph,
-    word_count_profile,
 )
-from varncode.costs import CostSpec, CustomProfileFamily, ProfileFamily
+from varncode.costs import (
+    _TAIL_TOL,
+    CostSpec,
+    CustomProfileFamily,
+    ProfileFamily,
+    _geom_weighted_tail,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -137,7 +140,7 @@ def test_root_matches_bisection_on_profile_prefixes():
     """Closed-form roots agree with plain bisection over truncations."""
     for spec, levels in ((linear(), 40), (repeat(3), 40), (fibonacci(), 60)):
         exact = char_root(spec).value
-        d = d_profile_of(spec, levels)
+        d = spec.d_profile(levels)
         lo, hi = 1e-9, 64.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -207,7 +210,7 @@ def test_beta_golden_values():
 
 
 def test_beta_matches_direct_supremum():
-    """beta_of agrees with the literal sup over suffix sums."""
+    """root.beta agrees with the literal sup over suffix sums."""
     rng = random.Random(4)
     for _ in range(40):
         t = rng.randint(2, 7)
@@ -221,8 +224,7 @@ def test_beta_matches_direct_supremum():
             * sum(2.0 ** (-c * ci) for ci in costs[m:])
             for m in range(t)
         )
-        assert abs(beta_of(spec, root) - direct) < 1e-9
-        assert root.beta == beta_of(spec, root)
+        assert abs(root.beta - direct) < 1e-9
 
 
 def test_beta_custom_repeat_profile():
@@ -251,30 +253,19 @@ def test_beta_at_least_one():
 # ---------------------------------------------------------------------------
 
 def test_d_profile_families():
-    assert d_profile_of(linear(), 5) == (1, 1, 1, 1, 1)
-    assert d_profile_of(repeat(4), 3) == (4, 4, 4)
-    assert d_profile_of(fibonacci(), 7) == (1, 1, 2, 3, 5, 8, 13)
-    assert d_profile_of(balanced_words(), 8) == (0, 2, 0, 2, 0, 4, 0, 10)
+    assert linear().d_profile(5) == (1, 1, 1, 1, 1)
+    assert repeat(4).d_profile(3) == (4, 4, 4)
+    assert fibonacci().d_profile(7) == (1, 1, 2, 3, 5, 8, 13)
+    assert balanced_words().d_profile(8) == (0, 2, 0, 2, 0, 4, 0, 10)
 
 
 def test_d_profile_finite_lists():
     # level j holds costs in [j, j+1), so 2.5 counts at level 2
     spec = finite_list([1.0, 2.0, 2.0, 2.5, 4.0])
-    assert d_profile_of(spec, 4) == (1, 3, 0, 1)
+    assert spec.d_profile(4) == (1, 3, 0, 1)
     # near-integer costs snap to their level
     spec2 = finite_list([1.0, 2.0 - 1e-12])
-    assert d_profile_of(spec2, 2) == (1, 1)
-
-
-def test_word_count_profile_reductions():
-    # words over a cost-1 and a cost-2 letter, closed by a cost-1 terminator,
-    # count like Fibonacci
-    assert word_count_profile([1, 2], [1], 7) == d_profile_of(fibonacci(), 7)
-    # a single unit-cost nonterminal with a unit-cost terminator counts one
-    # word per level
-    assert word_count_profile([1], [1], 5) == (1, 1, 1, 1, 1)
-    with pytest.raises(CostSpecError):
-        word_count_profile([0], [1], 3)
+    assert spec2.d_profile(2) == (1, 1)
 
 
 def test_custom_profile_tails():
@@ -282,11 +273,11 @@ def test_custom_profile_tails():
     assert zero.is_finite_alphabet
     assert zero.alphabet_size == 4
     assert zero.max_cost == 3.0
-    assert d_profile_of(zero, 5) == (1, 2, 1, 0, 0)
+    assert zero.d_profile(5) == (1, 2, 1, 0, 0)
 
     rep = custom_profile([1, 3], tail="repeat")
     assert not rep.is_finite_alphabet
-    assert d_profile_of(rep, 5) == (1, 3, 3, 3, 3)
+    assert rep.d_profile(5) == (1, 3, 3, 3, 3)
     root = char_root(rep)
     assert root.residual < 1e-9
     assert root.tail_convergent
@@ -299,10 +290,6 @@ def test_custom_profile_validation():
         custom_profile([1], tail="zero")  # fewer than 2 letters
     with pytest.raises(CostSpecError):
         custom_profile([1, 2], tail="bounce")
-    with pytest.raises(CostSpecError):
-        custom_profile([1, 9], tail="zero", dominator=(2.0, 1.0))
-    ok = custom_profile([1, 2, 4], tail="repeat", dominator=(2.0, 1.0))
-    assert ok.family.dominator == (2.0, 1.0)
 
 
 def test_custom_profile_char_sum_matches_truncation():
@@ -336,7 +323,7 @@ def test_tail_sum_matches_direct_summation():
     fib = fibonacci()
     fib_root = char_root(fib)
     z = 2.0 ** (-fib_root.value)
-    d = d_profile_of(fib, 160)
+    d = fib.d_profile(160)
     for _ in range(20):
         start = rng.randint(1, 40)
         direct = 0.0
@@ -359,6 +346,48 @@ def test_tail_sum_finite_specs():
     assert tail_sum_g(spec, root, 4) == 0.0
     with pytest.raises(CostSpecError):
         tail_sum_g(spec, root, 0)
+
+
+def _fib_tail_reference(fam, level, z):
+    """FibonacciFamily.weighted_tail_after's loop before the shared helper."""
+    r = PHI * z
+    terms = []
+    j = level
+    while True:
+        j += 1
+        bound = _geom_weighted_tail(r, j - 1) / PHI
+        if bound <= 0.5 * _TAIL_TOL:
+            break
+        terms.append(j * fam.multiplicity(j) * z ** j)
+    return math.fsum(terms)
+
+
+def _balanced_tail_reference(fam, level, z):
+    """BalancedWordsFamily.weighted_tail_after's loop before the shared helper."""
+    r = 2.0 * z
+    terms = []
+    j = level
+    while True:
+        j += 1
+        bound = 0.5 * _geom_weighted_tail(r, j - 1)
+        if bound <= 0.5 * _TAIL_TOL:
+            break
+        d = fam.multiplicity(j)
+        if d:
+            terms.append(j * d * z ** j)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("spec,radius,reference", [
+    (fibonacci(), 1.0 / PHI, _fib_tail_reference),
+    (balanced_words(), 0.5, _balanced_tail_reference),
+])
+def test_dominated_tail_matches_the_per_family_loops(spec, radius, reference):
+    fam = spec.family
+    for k in range(1, 61):
+        z = 0.9 * radius * k / 60
+        for level in range(61):
+            assert fam.weighted_tail_after(level, z) == reference(fam, level, z)
 
 
 def test_tail_sum_divergent_at_root():
@@ -385,10 +414,9 @@ def test_parse_profile_families():
     assert parse_cost_spec("repeat:3").family.d == 3
     assert parse_cost_spec("fib").family.name == "fib"
     assert parse_cost_spec("balanced").family.name == "balanced"
-    prof = parse_cost_spec("profile:1,0,2;tail=repeat;dominator=2,1")
+    prof = parse_cost_spec("profile:1,0,2;tail=repeat")
     assert prof.family.prefix == (1, 0, 2)
     assert prof.family.tail == "repeat"
-    assert prof.family.dominator == (2.0, 1.0)
 
 
 def test_parse_errors():
@@ -409,6 +437,7 @@ def test_parse_errors():
         "profile:1,-2",
         "profile:1,2;tail=wave",
         "profile:1,2;volume=11",
+        "profile:1,2;dominator=2,1",
         "wat:1,2",
     ]
     for text in bad:
@@ -421,4 +450,4 @@ def test_parse_roundtrips_through_label():
         spec = parse_cost_spec(text)
         again = parse_cost_spec(spec.label)
         assert again.kind == spec.kind
-        assert d_profile_of(again, 6) == d_profile_of(spec, 6)
+        assert again.d_profile(6) == spec.d_profile(6)
