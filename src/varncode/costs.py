@@ -15,6 +15,7 @@ terms of c and a few tail sums computed here.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -433,8 +434,7 @@ class CostSpec:
             return tuple(self.family.multiplicity(j) for j in range(1, up_to + 1))
         out = [0] * up_to
         for c in self.costs:
-            snapped = round(c) if abs(c - round(c)) <= INTEGER_SNAP else c
-            j = int(math.floor(snapped))
+            j = _cost_level(c)
             if 1 <= j <= up_to:
                 out[j - 1] += 1
         return tuple(out)
@@ -443,8 +443,9 @@ class CostSpec:
         """K = max_j d_j (math.inf for unbounded profiles)."""
         if self.family is not None:
             return self.family.max_multiplicity()
-        top = int(self.max_cost) + 1
-        return float(max(self.d_profile(top)))
+        # Count per level rather than through d_profile, whose length is the
+        # largest cost.
+        return float(max(Counter(map(_cost_level, self.costs)).values()))
 
     def count_at_most(self, threshold: float) -> int:
         """Number of letters with cost <= threshold (finite for convergent specs)."""
@@ -476,6 +477,11 @@ class CostSpec:
         c1 = self.costs[0]
         scaled = tuple(c / c1 for c in self.costs)
         return CostSpec(costs=scaled, family=None, label=self.label)
+
+
+def _cost_level(c: float) -> int:
+    """The level j with c in [j, j+1), snapping near-integer costs."""
+    return int(math.floor(round(c) if abs(c - round(c)) <= INTEGER_SNAP else c))
 
 
 # -- constructors -------------------------------------------------------
@@ -695,51 +701,40 @@ def char_root(spec: CostSpec, tol: float = _DEFAULT_ROOT_TOL) -> CharRoot:
 
 
 def _beta_value(spec: CostSpec, c: float) -> float:
-    """beta = sup_m 2^(c*c_m) * sum_{i>=m} 2^(-c*c_i)."""
+    """beta = sup_m 2^(c*c_m) * sum_{i>=m} 2^(-c*c_i).
+
+    Each supremand is summed in ratio form from the top letter down,
+    r_m = 1 + r_{m+1} * 2^(-c*(c_{m+1} - c_m)), so no power of 2 can
+    overflow or underflow to a zero divisor, however wide the costs spread.
+    """
     if spec.costs is not None:
-        best = 0.0
-        suffix = 0.0
-        for ci in reversed(spec.costs):
-            suffix += 2.0 ** (-c * ci)
-            val = 2.0 ** (c * ci) * suffix
-            if val > best:
-                best = val
+        costs = spec.costs
+        best = r = 1.0
+        for m in range(len(costs) - 2, -1, -1):
+            r = 1.0 + r * 2.0 ** (-c * (costs[m + 1] - costs[m]))
+            if r > best:
+                best = r
         return best
     fam = spec.family
     z = 2.0 ** (-c)
+    # Per level the supremand is largest at the level's first letter, where
+    # it is r_j = sum_{l >= j} d_l z^(l-j) = d_j + z * r_{j+1}.
     if spec.is_finite_alphabet:
-        # Within a level the supremand is largest at the level's first letter,
-        # so scanning occupied levels suffices.
-        top = int(spec.max_cost)
-        weights = [fam.multiplicity(j) * z ** j for j in range(1, top + 1)]
-        best = 0.0
-        suffix = 0.0
-        for j in range(top, 0, -1):
-            suffix += weights[j - 1]
-            if fam.multiplicity(j):
-                val = suffix / z ** j
-                if val > best:
-                    best = val
-        return best
-    K = fam.max_multiplicity()
-    if K == math.inf:
-        return math.inf
-    if isinstance(fam, CustomProfileFamily):
-        # The supremand at the first letter of level j is W_j / z^j with
-        # W_j = sum_{l >= j} d_l z^l; past the prefix the ratio is constant,
-        # so a backward scan over the prefix finds the exact supremum.
-        J = len(fam.prefix)
-        rep = fam.prefix[-1]
-        best = rep / (1.0 - z)
-        W = rep * z ** (J + 1) / (1.0 - z)
-        for j in range(J, 0, -1):
-            W += fam.prefix[j - 1] * z ** j
-            if fam.prefix[j - 1]:
-                best = max(best, W / z ** j)
-        return best
-    # d_j = K at infinitely many levels for the built-in families, where
-    # this is the exact supremum (attained in the limit).
-    return K / (1.0 - z)
+        top, r = int(spec.max_cost), 0.0
+    elif isinstance(fam, CustomProfileFamily):
+        # Past the prefix the ratio is constant.
+        top, r = len(fam.prefix), fam.prefix[-1] / (1.0 - z)
+    else:
+        # d_j = K at infinitely many levels for the built-in families, where
+        # this is the exact supremum (attained in the limit).
+        return fam.max_multiplicity() / (1.0 - z)
+    best = r
+    for j in range(top, 0, -1):
+        d = fam.multiplicity(j)
+        r = d + z * r
+        if d and r > best:
+            best = r
+    return best
 
 
 def tail_sum_g(spec: CostSpec, root: CharRoot | float, from_index: int) -> float:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -226,6 +227,26 @@ def test_code_json_tree_of_a_deep_chain(capsys, tmp_path):
         node = node["children"][-1]
         levels += 1
     assert levels == 2001
+
+
+ZEROS = ",0" * 500
+
+
+@pytest.mark.parametrize("spec", [
+    "rll:1,100000",
+    "finite:1,1e300",
+    "finite:1e-300,1",
+    "profile:5" + ZEROS + ",1",
+    "profile:5" + ZEROS + ",1;tail=repeat",
+])
+def test_wide_cost_ratios(capsys, spec):
+    d = run_json(capsys, "root", "--costs", spec, "--format", "json")
+    assert d["beta_finite"] and math.isfinite(d["beta"])
+    argv = ("--costs", spec, "--inline", "0.5,0.3,0.2", "--format", "json")
+    d = run_json(capsys, "code", *argv)
+    assert d["root"]["beta_finite"]
+    d = run_json(capsys, "bounds", *argv)
+    assert all(math.isfinite(b["value"]) for b in d["bounds"] if b["applicable"])
 
 
 def test_finite_profile_code_and_oracle(capsys):

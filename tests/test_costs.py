@@ -263,6 +263,8 @@ def test_d_profile_finite_lists():
     # level j holds costs in [j, j+1), so 2.5 counts at level 2
     spec = finite_list([1.0, 2.0, 2.0, 2.5, 4.0])
     assert spec.d_profile(4) == (1, 3, 0, 1)
+    assert spec.max_multiplicity() == 3.0
+    assert finite_list([1.0, 1e300]).max_multiplicity() == 1.0
     # near-integer costs snap to their level
     spec2 = finite_list([1.0, 2.0 - 1e-12])
     assert spec2.d_profile(2) == (1, 1)
