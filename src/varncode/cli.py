@@ -182,7 +182,7 @@ def _build(args: argparse.Namespace, trace: bool = False):
     root = char_root(spec, tol=args.tol)
     pin = load_input(args)
     tree = build_code(pin, spec, root, trace=trace)
-    return spec, root, pin, tree, report(tree, epsilon=args.epsilon)
+    return tree, report(tree, epsilon=args.epsilon)
 
 
 def _trace_dict(trace) -> list:
@@ -213,9 +213,9 @@ def _trace_dict(trace) -> list:
 
 
 def cmd_code(args: argparse.Namespace) -> int:
-    spec, root, _, tree, rep = _build(args, trace=args.trace)
+    tree, rep = _build(args, trace=args.trace)
     if args.fmt == "json":
-        payload = {"root": root_dict(spec, root), "report": rep.to_dict()}
+        payload = {"root": root_dict(tree.spec, tree.root), "report": rep.to_dict()}
         if args.trace:
             payload["trace"] = _trace_dict(tree.trace)
         rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -260,7 +260,7 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    spec, root, _, _, rep = _build(args)
+    tree, rep = _build(args)
     if args.fmt == "json":
         emit_json(rep.to_dict())
     else:
@@ -274,8 +274,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 print(f"{b.name}: {b.value!r}")
             else:
                 print(f"{b.name}: n/a ({b.reason})")
-        if args.epsilon is not None and root.tail_convergent:
-            ab = approx_bound(spec, root, args.epsilon)
+        if args.epsilon is not None and tree.root.tail_convergent:
+            ab = approx_bound(tree.spec, tree.root, args.epsilon)
             print(
                 f"approx: C <= (1+{ab.epsilon:g})*OPT + {ab.f_value!r}"
                 f"  (N_eps={ab.cost_threshold:g}, m_eps={ab.index_threshold})"
@@ -305,9 +305,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    spec, root, pin, tree, rep = _build(args)
-    res = exact_opt(pin, spec, cap=tree.cost())
-    c = root.value
+    tree, rep = _build(args)
+    res = exact_opt(tree.input, tree.spec, cap=tree.cost())
+    c = tree.root.value
     gap = rep.cost - res.opt_cost
     best = rep.min_applicable()
     gap_bound = best / c if best is not None else None
