@@ -220,10 +220,8 @@ def cmd_code(args: argparse.Namespace) -> int:
             payload["trace"] = _trace_dict(tree.trace)
         rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         if args.tree:
-            # "tree" sorts last; to_json raises the recursion limit that a
-            # deep tree's nested form needs.
-            tree_json = tree.to_json(sort_keys=True, separators=(",", ":"))
-            rest = rest[:-1] + ',"tree":' + tree_json + "}"
+            # "tree" sorts last; to_json writes any depth.
+            rest = rest[:-1] + ',"tree":' + tree.to_json() + "}"
         # "codewords" sorts before every other key, so the array is written
         # first, item by item in sorted-key order, from the text lines (a
         # finite float's repr is also its JSON form).

@@ -13,7 +13,6 @@ cost nothing extra.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -316,18 +315,32 @@ class CodeTree:
                 best = d
         return best
 
-    def to_json(self, **kwargs) -> str:
-        import json
-
-        limit = self.tree_depth() * 4 + 1000
-        old = sys.getrecursionlimit()
-        if limit > old:
-            sys.setrecursionlimit(limit)
-        try:
-            return json.dumps(self.to_dict(), **kwargs)
-        finally:
-            if limit > old:
-                sys.setrecursionlimit(old)
+    def to_json(self) -> str:
+        """to_dict() as compact JSON with sorted keys, written from a stack:
+        json.dumps recurses per level and overflows on deep zero-mass chains."""
+        letter = self._letter.tolist()
+        leaf = self._leaf.tolist()
+        perm = self.input.perm.tolist()
+        children = [[] for _ in letter]
+        for v, p in enumerate(self._parent.tolist()[1:], start=1):
+            children[p].append(v)
+        parts = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, str):
+                parts.append(v)
+            elif leaf[v] >= 0:
+                parts.append(f'{{"leaf_index":{perm[leaf[v]]},"letter_index":{letter[v]}}}')
+            else:
+                parts.append('{"children":[')
+                stack.append(f'],"letter_index":{letter[v]}}}')
+                kids = sorted(children[v], key=letter.__getitem__)
+                for k, u in enumerate(reversed(kids)):
+                    if k:
+                        stack.append(",")
+                    stack.append(u)
+        return "".join(parts)
 
 
 def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot,

@@ -443,8 +443,7 @@ class CostSpec:
         """K = max_j d_j (math.inf for unbounded profiles)."""
         if self.family is not None:
             return self.family.max_multiplicity()
-        # Count per level rather than through d_profile, whose length is the
-        # largest cost.
+        # Counted per level: d_profile would be as long as the largest cost.
         return float(max(Counter(map(_cost_level, self.costs)).values()))
 
     def count_at_most(self, threshold: float) -> int:

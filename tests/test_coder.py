@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,8 +225,6 @@ def test_to_dict_shape():
 
 
 def test_to_json_deep_tree():
-    import sys
-
     tree = build([1.0] + [0.0] * 1500, "finite:1,1")
     text = tree.to_json()
     # the stdlib decoder is recursive, so give it room to read it back
@@ -235,6 +235,19 @@ def test_to_json_deep_tree():
     finally:
         sys.setrecursionlimit(old)
     assert parsed["letter_index"] == 0
+
+
+def test_to_json_has_no_depth_limit():
+    # json.dumps recurses once per level and overflows the C stack on a chain
+    # this deep, so run it where a crash cannot take the test session along
+    script = (
+        "from varncode import build_code, char_root, parse_cost_spec, prepare\n"
+        "spec = parse_cost_spec('finite:1,2')\n"
+        "tree = build_code(prepare([1.0] + [0.0] * 100000), spec, char_root(spec))\n"
+        "assert tree.to_json().count('{') == tree.num_nodes\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_codeword_lines_format():
