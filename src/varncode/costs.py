@@ -279,10 +279,9 @@ class CustomProfileFamily(ProfileFamily):
             raise CostSpecError("profile prefix must be nonempty with d_j >= 0")
         if tail not in ("zero", "repeat"):
             raise CostSpecError(f"unknown profile tail rule {tail!r}")
-        if tail == "zero" and sum(prefix) < 2:
+        # A repeat tail of d_J = 0 ends the alphabet at level J, like a zero tail.
+        if not (tail == "repeat" and prefix[-1] > 0) and sum(prefix) < 2:
             raise CostSpecError("profile must supply at least 2 letters")
-        if tail == "repeat" and sum(prefix) < 1:
-            raise CostSpecError("repeating profile needs a positive coefficient")
         self.prefix = prefix
         self.tail = tail
 

@@ -291,6 +291,10 @@ def test_custom_profile_validation():
     with pytest.raises(CostSpecError):
         custom_profile([1], tail="zero")  # fewer than 2 letters
     with pytest.raises(CostSpecError):
+        custom_profile([1, 0], tail="repeat")  # the zero repeats: one letter
+    with pytest.raises(CostSpecError):
+        custom_profile([0, 0], tail="repeat")
+    with pytest.raises(CostSpecError):
         custom_profile([1, 2], tail="bounce")
 
 
