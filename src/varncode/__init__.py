@@ -29,9 +29,9 @@ from .analysis import (
 from .coder import (
     CodeTree,
     ProbInput,
-    SplitTrace,
     build_code,
     prepare,
+    split_trace,
     verify_prefix_free,
 )
 from .costs import (

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import approx_bound, report
-from .coder import build_code, prepare
+from .coder import build_code, prepare, split_trace
 from .costs import char_root, parse_cost_spec
 from .errors import ProbInputError, VarncodeError
 from .oracle import exact_opt
@@ -92,7 +92,10 @@ def read_probs_file(path: str) -> list[float]:
         data = json.loads(text)
         if not isinstance(data, list):
             raise ProbInputError("JSON probability file must hold an array")
-        return [float(v) for v in data]
+        try:
+            return [float(v) for v in data]
+        except (TypeError, OverflowError) as exc:  # null, array, object, huge int
+            raise ProbInputError(f"JSON probability file holds a non-number: {exc}") from exc
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -175,49 +178,22 @@ def cmd_root(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build(args: argparse.Namespace, trace: bool = False):
+def _build(args: argparse.Namespace):
     """Parse, root, load, build and report: the steps code, bounds and
     compare share."""
     spec = parse_cost_spec(args.costs)
     root = char_root(spec, tol=args.tol)
     pin = load_input(args)
-    tree = build_code(pin, spec, root, trace=trace)
+    tree = build_code(pin, spec, root)
     return tree, report(tree, epsilon=args.epsilon)
 
 
-def _trace_dict(trace) -> list:
-    out = []
-    for e in trace.events:
-        out.append({
-            "node": e.node,
-            "range": [e.first, e.last],
-            "interval": [e.lo, e.hi],
-            "weight": e.weight,
-            "left_shifted": e.left_shifted,
-            "right_shifted": e.right_shifted,
-            "right_shift_index": e.right_shift_index,
-            "bins": [
-                {
-                    "letter": b.index,
-                    "lo": b.lo,
-                    "hi": b.hi,
-                    "initial": list(b.initial) if b.initial else None,
-                    "final": list(b.final),
-                    "initial_weight": b.initial_weight,
-                    "final_weight": b.final_weight,
-                }
-                for b in e.bins
-            ],
-        })
-    return out
-
-
 def cmd_code(args: argparse.Namespace) -> int:
-    tree, rep = _build(args, trace=args.trace)
+    tree, rep = _build(args)
     if args.fmt == "json":
         payload = {"root": root_dict(tree.spec, tree.root), "report": rep.to_dict()}
         if args.trace:
-            payload["trace"] = _trace_dict(tree.trace)
+            payload["trace"] = split_trace(tree)
         rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         if args.tree:
             # "tree" sorts last; to_json writes any depth.
@@ -240,19 +216,19 @@ def cmd_code(args: argparse.Namespace) -> int:
         print(f"# lower_bound = {rep.lower_bound!r}")
         print(f"# redundancy = {rep.redundancy!r}  nr = {rep.nr!r}")
         if args.trace:
-            for e in tree.trace.events:
+            for e in split_trace(tree):
                 flags = []
-                if e.left_shifted:
+                if e["left_shifted"]:
                     flags.append("left-shift")
-                if e.right_shifted:
-                    flags.append(f"right-shift@{e.right_shift_index}")
+                if e["right_shifted"]:
+                    flags.append(f"right-shift@{e['right_shift_index']}")
                 tags = (" [" + ", ".join(flags) + "]") if flags else ""
-                print(f"# split node {e.node} slots {e.first}..{e.last}{tags}")
-                for b in e.bins:
-                    init = f"{b.initial[0]}..{b.initial[1]}" if b.initial else "-"
+                print(f"# split node {e['node']} slots {e['range'][0]}..{e['range'][1]}{tags}")
+                for b in e["bins"]:
+                    init = f"{b['initial'][0]}..{b['initial'][1]}" if b["initial"] else "-"
                     print(
-                        f"#   bin {b.index}: [{b.lo:.6g}, {b.hi:.6g}) "
-                        f"initial {init} final {b.final[0]}..{b.final[1]}"
+                        f"#   bin {b['letter']}: [{b['lo']:.6g}, {b['hi']:.6g}) "
+                        f"initial {init} final {b['final'][0]}..{b['final'][1]}"
                     )
     return EXIT_OK
 

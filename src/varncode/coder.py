@@ -8,6 +8,10 @@ recursion honest: an empty bin steals the next item (left shift), and when
 everything falls in bin 1 the last item moves to bin 2 (right shift) so every
 internal node branches.  Bins are materialized lazily, so infinite alphabets
 cost nothing extra.
+
+That per-block rule is one kernel, `_split`: `build_code` calls it to grow
+the tree, and `split_trace` calls it again over a finished tree's internal
+nodes to report each split's bins and shifts.
 """
 
 from __future__ import annotations
@@ -66,7 +70,13 @@ def prepare(probs, normalize: bool = False) -> ProbInput:
         raise ProbInputError("probabilities must be finite")
     if np.any(a < 0.0):
         raise ProbInputError("probabilities must be nonnegative")
-    total = math.fsum(a.tolist())
+    try:
+        total = math.fsum(a.tolist())
+    except OverflowError:  # the sum passes the float range
+        if not normalize:
+            raise ProbInputError("probabilities sum beyond the float range") from None
+        a = a / a.max()
+        total = math.fsum(a.tolist())
     if total <= 0.0:
         raise ProbInputError("probabilities sum to zero")
     if normalize:
@@ -98,70 +108,29 @@ def prepare(probs, normalize: bool = False) -> ProbInput:
     )
 
 
-@dataclass(frozen=True)
-class BinTrace:
-    """One bin of one split: boundaries, initial occupants, final occupants."""
-
-    index: int
-    lo: float
-    hi: float
-    initial: tuple[int, int] | None
-    final: tuple[int, int]
-    initial_weight: float
-    final_weight: float
-
-
-@dataclass(frozen=True)
-class NodeTrace:
-    """One split event: the block [first, last] divided at node `node`."""
-
-    node: int
-    first: int
-    last: int
-    lo: float
-    hi: float
-    weight: float
-    bins: tuple[BinTrace, ...]
-    left_shifted: bool
-    right_shifted: bool
-    right_shift_index: int | None
-
-
-@dataclass
-class SplitTrace:
-    events: list[NodeTrace]
-
-    def total_bins(self) -> int:
-        return sum(len(e.bins) for e in self.events)
-
-    def right_shift_indices(self) -> list[int]:
-        return [
-            e.right_shift_index for e in self.events if e.right_shift_index is not None
-        ]
-
-
 class CodeTree:
     """Built prefix-free code in compact array form.
 
     Nodes are indexed 0..num_nodes-1 with the root at 0; parents precede
     children.  Leaves carry the sorted probability slot they encode; edge
-    letters are 1-based letter indices (0 on the root).
+    letters are 1-based letter indices (0 on the root).  The per-node arrays
+    are numpy views of the builder's buffers.
     """
 
     def __init__(self, spec, root, pinput, parent, letter, weight, leaf,
-                 word_cost, child_count, leaf_node, letter_costs, trace=None):
+                 word_cost, table):
         self.spec: CostSpec = spec
         self.root: CharRoot = root
         self.input: ProbInput = pinput
-        self._parent = parent
-        self._letter = letter
-        self._weight = weight
-        self._leaf = leaf
-        self._word_cost = word_cost
-        self._child_count = child_count
-        self._leaf_node = np.asarray(leaf_node, dtype=np.int64)
-        self._letter_costs = letter_costs
-        self.trace: SplitTrace | None = trace
+        self._parent = np.frombuffer(parent, dtype=np.int64)
+        self._letter = np.frombuffer(letter, dtype=np.int64)
+        self._weight = np.frombuffer(weight, dtype=np.float64)
+        self._leaf = np.frombuffer(leaf, dtype=np.int64)
+        self._word_cost = np.frombuffer(word_cost, dtype=np.float64)
+        self._table: LetterTable = table
+        nodes = np.flatnonzero(self._leaf >= 0)
+        self._leaf_node = np.empty(pinput.n, dtype=np.int64)
+        self._leaf_node[self._leaf[nodes]] = nodes
         self._cost: float | None = None
         self._iperm: np.ndarray | None = None
 
@@ -176,25 +145,25 @@ class CodeTree:
         return len(self._parent)
 
     def parent_of(self, v: int) -> int:
-        return self._parent[v]
+        return self._parent.item(v)
 
     def letter_of(self, v: int) -> int:
-        return self._letter[v]
+        return self._letter.item(v)
 
     def is_leaf(self, v: int) -> bool:
-        return self._leaf[v] >= 0
+        return self._leaf.item(v) >= 0
 
     def sum_branching(self) -> int:
-        """Total number of children over all internal nodes."""
-        return int(np.frombuffer(self._child_count, dtype=np.int64).sum())
+        """Total number of children over all internal nodes: every node but
+        the root is exactly one node's child."""
+        return self.num_nodes - 1
 
     # -- codewords -------------------------------------------------------
 
     @property
     def leaf_costs(self) -> np.ndarray:
         """Codeword cost per sorted slot."""
-        wc = np.frombuffer(self._word_cost, dtype=np.float64)
-        return wc[self._leaf_node]
+        return self._word_cost[self._leaf_node]
 
     def cost(self) -> float:
         """Expected codeword cost C(T)."""
@@ -215,11 +184,11 @@ class CodeTree:
     def codeword_letters(self, original_index: int) -> tuple[int, ...]:
         v = int(self._leaf_node[self._sorted_slot(original_index)])
         letters = []
-        parent = self._parent
-        letter = self._letter
-        while parent[v] >= 0:
-            letters.append(letter[v])
-            v = parent[v]
+        parent = self._parent.item  # .item reads a Python int, no numpy scalar
+        letter = self._letter.item
+        while v:  # only the root, node 0, has no parent
+            letters.append(letter(v))
+            v = parent(v)
         letters.reverse()
         return tuple(letters)
 
@@ -242,7 +211,7 @@ class CodeTree:
             append(words[p] + pieces[m])
         nodes = np.empty(self.n, dtype=np.int64)
         nodes[self.input.perm] = self._leaf_node
-        costs = np.frombuffer(self._word_cost, dtype=np.float64)[nodes].tolist()
+        costs = self._word_cost[nodes].tolist()
         return [words[v] for v in nodes.tolist()], costs
 
     def codewords(self):
@@ -258,17 +227,13 @@ class CodeTree:
 
     def cost_decomposition(self) -> float:
         """C(T) recomputed as sum over non-root nodes of c_letter * weight."""
-        letters = np.frombuffer(self._letter, dtype=np.int64)
-        weights = np.frombuffer(self._weight, dtype=np.float64)
-        lc = np.asarray(self._letter_costs, dtype=np.float64)
-        return float(np.dot(lc[letters], weights))
+        lc = np.asarray(self._table.costs, dtype=np.float64)
+        return float(np.dot(lc[self._letter], self._weight))
 
     def entropy_decomposition(self) -> float:
         """H(p) recomputed as the weighted sum of per-split child entropies."""
-        weights = np.frombuffer(self._weight, dtype=np.float64)
-        parents = np.frombuffer(self._parent, dtype=np.int64)
-        w = weights[1:]
-        pw = weights[parents[1:]]
+        w = self._weight[1:]
+        pw = self._weight[self._parent[1:]]
         mask = w > 0.0
         w = w[mask]
         pw = pw[mask]
@@ -278,21 +243,17 @@ class CodeTree:
 
     def to_dict(self) -> dict:
         """Nested {letter_index, children | leaf_index} form of the tree."""
-        N = self.num_nodes
-        parent = self._parent
-        letter = self._letter
-        leaf = self._leaf
-        perm = self.input.perm
+        perm = self.input.perm.tolist()
         nodes = []
-        for v in range(N):
-            d = {"letter_index": int(letter[v])}
-            if leaf[v] >= 0:
-                d["leaf_index"] = int(perm[leaf[v]])
+        for m, s in zip(self._letter.tolist(), self._leaf.tolist()):
+            d = {"letter_index": m}
+            if s >= 0:
+                d["leaf_index"] = perm[s]
             else:
                 d["children"] = []
             nodes.append(d)
-        for v in range(1, N):
-            nodes[parent[v]]["children"].append(nodes[v])
+        for v, p in enumerate(self._parent.tolist()[1:], start=1):
+            nodes[p]["children"].append(nodes[v])
         for d in nodes:
             if "children" in d:
                 d["children"].sort(key=lambda ch: ch["letter_index"])
@@ -305,15 +266,10 @@ class CodeTree:
         return [f"{i}\t{w[1:]}\t{c!r}" for i, w, c in zip(range(self.n), words, costs)]
 
     def tree_depth(self) -> int:
-        parent = self._parent
-        depth = array("q", bytes(8 * self.num_nodes))
-        best = 0
-        for v in range(1, self.num_nodes):
-            d = depth[parent[v]] + 1
-            depth[v] = d
-            if d > best:
-                best = d
-        return best
+        depth = [0] * self.num_nodes
+        for v, p in enumerate(self._parent.tolist()[1:], start=1):
+            depth[v] = depth[p] + 1
+        return max(depth)
 
     def to_json(self) -> str:
         """to_dict() as compact JSON with sorted keys, written from a stack:
@@ -343,18 +299,59 @@ class CodeTree:
         return "".join(parts)
 
 
-def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot,
-               trace: bool = False) -> CodeTree:
+def _split(l, r, L, w, s, probs, cum, ensure, finite_t):
+    """Divide the sorted block [l, r] with interval [L, L + w) among letters.
+
+    Letter m's bin ends at L + w * cum[m]; slot k lands in the bin holding
+    its midpoint s[k].  Returns ([(first, last, m), ...] left to right,
+    left_shifted, right_shifted).
+    """
+    k = l
+    m = 0
+    ranges = []
+    prevR = L
+    stole = False
+    while k <= r:
+        m += 1
+        if m >= len(cum):
+            ensure(m)
+        if m == finite_t:
+            # Last letter of a finite alphabet: in exact arithmetic every
+            # remaining midpoint lies in this bin; taking them directly
+            # also covers float edges and zero-probability tails.
+            ranges.append((k, r, m))
+            break
+        Rm = L + w * cum[m]
+        j = bisect_left(s, Rm, k, r + 1) - 1
+        if j < k:
+            if w > 0.0 and Rm <= prevR and probs[k] > 0.0:
+                raise BinUnderflowError(
+                    f"bin {m} width underflowed with mass left at slot {k}"
+                )
+            j = k
+            stole = True
+        ranges.append((k, j, m))
+        prevR = Rm
+        k = j + 1
+
+    if len(ranges) == 1:
+        # Everything fell in bin 1: move the last item to bin 2 so the
+        # node branches.
+        if 2 >= len(cum):
+            ensure(2)
+        return [(l, r - 1, 1), (r, r, 2)], stole, True
+    return ranges, stole, False
+
+
+def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot) -> CodeTree:
     """Build a prefix-free code tree for sorted probabilities.
 
-    Returns a CodeTree; when `trace` is set the tree's `.trace` records every
-    split (bin boundaries, initial and final bin contents, shift flags).
-    Tracing is meant for audits at moderate n; the plain build allocates no
-    per-bin records.
+    Node ids follow the builder's depth-first stack: a block's node is
+    numbered when it is popped, a one-slot child when its parent splits.
+    `split_trace(tree)` reports every split of the result.
     """
     n = pinput.n
-    c = root.value
-    table = LetterTable(spec, c)
+    table = LetterTable(spec, root.value)
     lcosts = table.costs
     cum = table.cum
     ensure = table.ensure
@@ -365,126 +362,100 @@ def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot,
     weight = array("d")
     leaf = array("q")
     word_cost = array("d")
-    child_count = array("q")
-    leaf_node = [0] * n
-    events = [] if trace else None
 
     probs = pinput.probs.tolist()
     P = pinput.prefix.tolist()
     s = pinput.mid.tolist()
 
-    if n == 1:
-        ensure(1)
-        parent.append(-1); letter.append(0); weight.append(probs[0])
-        leaf.append(-1); word_cost.append(0.0); child_count.append(1)
-        parent.append(0); letter.append(1); weight.append(probs[0])
-        leaf.append(0); word_cost.append(lcosts[1]); child_count.append(0)
-        leaf_node[0] = 1
-        return CodeTree(spec, root, pinput, parent, letter, weight, leaf,
-                        word_cost, child_count, leaf_node, lcosts,
-                        trace=SplitTrace([]) if trace else None)
-
+    ensure(1)  # a one-symbol input's only letter; every split's first bin
     stack = [(0, n - 1, -1, 0)]
     while stack:
         l, r, par, let = stack.pop()
         v = len(parent)
         parent.append(par)
         letter.append(let)
-        if let:
-            word_cost.append(word_cost[par] + lcosts[let])
-            child_count[par] += 1
-        else:
-            word_cost.append(0.0)
-        child_count.append(0)
+        word_cost.append(word_cost[par] + lcosts[let] if let else 0.0)
         L = P[l]
         w = P[r + 1] - L
         weight.append(w)
         leaf.append(-1)
-
-        k = l
-        m = 0
-        ranges = []
-        prevR = L
-        stole = False
-        while k <= r:
-            m += 1
-            if m >= len(cum):
-                ensure(m)
-            if m == finite_t:
-                # Last letter of a finite alphabet: in exact arithmetic every
-                # remaining midpoint lies in this bin; taking them directly
-                # also covers float edges and zero-probability tails.
-                ranges.append((k, r, m))
-                break
-            Rm = L + w * cum[m]
-            j = bisect_left(s, Rm, k, r + 1) - 1
-            if j < k:
-                if w > 0.0 and Rm <= prevR and probs[k] > 0.0:
-                    raise BinUnderflowError(
-                        f"bin {m} width underflowed with mass left at slot {k}"
-                    )
-                j = k
-                stole = True
-            ranges.append((k, j, m))
-            prevR = Rm
-            k = j + 1
-
-        rshift = False
-        if len(ranges) == 1:
-            # Everything fell in bin 1: move the last item to bin 2 so the
-            # node branches.
-            if 2 >= len(cum):
-                ensure(2)
-            ranges = [(l, r - 1, 1), (r, r, 2)]
-            rshift = True
-
-        if events is not None:
-            bins = []
-            for a, b, mm in ranges:
-                lo_m = L + w * cum[mm - 1]
-                hi_m = L + w * cum[mm]
-                e = bisect_left(s, lo_m, l, r + 1)
-                f = bisect_left(s, hi_m, l, r + 1) - 1
-                initial = (e, f) if f >= e else None
-                bins.append(BinTrace(
-                    index=mm,
-                    lo=lo_m,
-                    hi=hi_m,
-                    initial=initial,
-                    final=(a, b),
-                    initial_weight=(P[f + 1] - P[e]) if initial else 0.0,
-                    final_weight=P[b + 1] - P[a],
-                ))
-            events.append(NodeTrace(
-                node=v,
-                first=l,
-                last=r,
-                lo=L,
-                hi=P[r + 1],
-                weight=w,
-                bins=tuple(bins),
-                left_shifted=stole,
-                right_shifted=rshift,
-                right_shift_index=r if rshift else None,
-            ))
-
-        for a, b, mm in reversed(ranges):
+        if l < r:
+            ranges = _split(l, r, L, w, s, probs, cum, ensure, finite_t)[0]
+        else:  # the root of a one-symbol input: its symbol gets letter 1
+            ranges = [(l, r, 1)]
+        for a, b, m in reversed(ranges):
             if a == b:
-                u = len(parent)
                 parent.append(v)
-                letter.append(mm)
-                word_cost.append(word_cost[v] + lcosts[mm])
-                child_count[v] += 1
-                child_count.append(0)
+                letter.append(m)
+                word_cost.append(word_cost[v] + lcosts[m])
                 weight.append(probs[a])
                 leaf.append(a)
-                leaf_node[a] = u
             else:
-                stack.append((a, b, v, mm))
+                stack.append((a, b, v, m))
 
     return CodeTree(spec, root, pinput, parent, letter, weight, leaf,
-                    word_cost, child_count, leaf_node, lcosts,
-                    trace=SplitTrace(events) if trace else None)
+                    word_cost, table)
+
+
+def split_trace(tree: CodeTree) -> list[dict]:
+    """Every split of a built tree, in the order the builder made them: the
+    `trace` records of `varncode code --trace --format json`.
+
+    Per bin: its bounds [lo, hi), the slots whose midpoints fall inside
+    (`initial`, None if none) and the slots the letter received (`final`).
+    The kernel reruns on the tree's own LetterTable, so every bound is the
+    builder's float.
+    """
+    pin = tree.input
+    probs, P, s = pin.probs.tolist(), pin.prefix.tolist(), pin.mid.tolist()
+    table = tree._table
+    finite_t = int(tree.spec.alphabet_size) if tree.spec.is_finite_alphabet else 0
+
+    # Slot range of every node: children follow their parent, so one
+    # reverse pass folds each subtree into its root.
+    parent = tree._parent.tolist()
+    leaf = tree._leaf.tolist()
+    first = [k if k >= 0 else tree.n for k in leaf]
+    last = leaf[:]
+    for v in range(len(parent) - 1, 0, -1):
+        p = parent[v]
+        first[p] = min(first[p], first[v])
+        last[p] = max(last[p], last[v])
+
+    records = []
+    for v, (l, r) in enumerate(zip(first, last)):
+        if l == r:  # a leaf, or the root of a one-symbol input
+            continue
+        L = P[l]
+        w = P[r + 1] - L
+        ranges, stole, rshift = _split(l, r, L, w, s, probs, table.cum,
+                                       table.ensure, finite_t)
+        bins = []
+        for a, b, m in ranges:
+            lo = L + w * table.cum[m - 1]
+            hi = L + w * table.cum[m]
+            e = bisect_left(s, lo, l, r + 1)
+            f = bisect_left(s, hi, l, r + 1) - 1
+            bins.append({
+                "letter": m,
+                "lo": lo,
+                "hi": hi,
+                "initial": [e, f] if f >= e else None,
+                "final": [a, b],
+                "initial_weight": P[f + 1] - P[e] if f >= e else 0.0,
+                "final_weight": P[b + 1] - P[a],
+            })
+        records.append({
+            "node": v,
+            "range": [l, r],
+            "interval": [L, P[r + 1]],
+            "weight": w,
+            "left_shifted": stole,
+            "right_shifted": rshift,
+            "right_shift_index": r if rshift else None,
+            "bins": bins,
+        })
+    return records
 
 
 def verify_prefix_free(words) -> bool:

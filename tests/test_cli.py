@@ -15,12 +15,12 @@ from varncode import (
     parse_cost_spec,
     prepare,
     report,
+    split_trace,
 )
 from varncode.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VIOLATION,
-    _trace_dict,
     main,
     make_probs,
     parse_gen,
@@ -312,7 +312,7 @@ def reference_code_output(costs, gen, fmt, trace=False, tree=False):
     or one print per text line (text stops before any trace lines)."""
     spec = parse_cost_spec(costs)
     root = char_root(spec)
-    built = build_code(prepare(parse_gen(gen, 0)), spec, root, trace=trace)
+    built = build_code(prepare(parse_gen(gen, 0)), spec, root)
     rep = report(built)
     words = [(i, built.codeword_letters(i), built.codeword_cost(i))
              for i in range(built.n)]
@@ -327,7 +327,7 @@ def reference_code_output(costs, gen, fmt, trace=False, tree=False):
         if tree:
             payload["tree"] = built.to_dict()
         if trace:
-            payload["trace"] = _trace_dict(built.trace)
+            payload["trace"] = split_trace(built)
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=buf)
     else:
         for i, letters, cost in words:
@@ -389,6 +389,25 @@ def test_exit_parse_errors(capsys, tmp_path):
                        "--inline", "0.5,0.2")
     assert code == EXIT_PARSE
     assert "normalize" in err
+
+
+@pytest.mark.parametrize("text", ["[null]", "[[0.5], 0.5]", "[0.5, {}]", "[1" + "0" * 400 + "]"])
+def test_json_probs_that_are_not_numbers_exit_parse(capsys, tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "code", "--costs", "finite:1,2", "--probs", str(path))
+    assert code == EXIT_PARSE
+    assert err.startswith("error parse:")
+
+
+def test_probs_summing_past_the_float_range(capsys):
+    argv = ("code", "--costs", "finite:1,2", "--inline")
+    code, _, err = run(capsys, *argv, "1e308,1e308")
+    assert code == EXIT_PARSE
+    assert err.startswith("error parse:")
+    code, out, _ = run(capsys, *argv, "1e308,1e308", "--normalize")
+    assert code == EXIT_OK
+    assert out == run(capsys, *argv, "0.5,0.5")[1]
 
 
 def test_exit_numeric_underflow(capsys):

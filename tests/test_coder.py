@@ -20,19 +20,19 @@ from varncode import (
     prepare,
     repeat,
     report,
-    telegraph,
+    split_trace,
     verify_prefix_free,
 )
-from varncode.cli import make_probs
+from varncode.cli import make_probs, parse_gen
 
 THIRDS_SIXTHS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
 
 
-def build(probs, spec_text, trace=False, normalize=False):
+def build(probs, spec_text, normalize=False):
     spec = parse_cost_spec(spec_text)
     root = char_root(spec)
     pin = prepare(probs, normalize=normalize)
-    return build_code(pin, spec, root, trace=trace)
+    return build_code(pin, spec, root)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,12 @@ def test_prepare_normalize():
     assert ok.total != 1.0
 
 
+def test_prepare_sum_past_the_float_range():
+    with pytest.raises(ProbInputError):
+        prepare([1e308, 1e308])
+    assert prepare([1e308, 1e308], normalize=True).probs.tolist() == [0.5, 0.5]
+
+
 def test_prepare_accuracy_large_n():
     rng = np.random.default_rng(3)
     p = rng.random(10 ** 5)
@@ -121,24 +127,26 @@ def test_single_symbol():
 
 
 def test_two_equal_symbols_right_shift():
-    tree = build([0.5, 0.5], "finite:1,5", trace=True)
+    tree = build([0.5, 0.5], "finite:1,5")
     assert tree.codeword_letters(0) == (1,)
     assert tree.codeword_letters(1) == (2,)
     assert tree.cost() == pytest.approx(3.0)
-    ev = tree.trace.events[0]
-    assert ev.right_shifted
-    assert ev.right_shift_index == 1
-    assert tree.trace.right_shift_indices() == [1]
+    trace = split_trace(tree)
+    ev = trace[0]
+    assert ev["right_shifted"]
+    assert ev["right_shift_index"] == 1
+    assert [e["right_shift_index"] for e in trace
+            if e["right_shift_index"] is not None] == [1]
 
 
 def test_left_shift_takes_one_item():
-    tree = build([0.9, 0.06, 0.04], "finite:1,2,3", trace=True)
-    ev = tree.trace.events[0]
-    assert ev.left_shifted
-    stolen = [b for b in ev.bins if b.initial is None]
+    tree = build([0.9, 0.06, 0.04], "finite:1,2,3")
+    ev = split_trace(tree)[0]
+    assert ev["left_shifted"]
+    stolen = [b for b in ev["bins"] if b["initial"] is None]
     assert stolen
     for b in stolen:
-        assert b.final[0] == b.final[1]
+        assert b["final"][0] == b["final"][1]
     assert tree.cost() == pytest.approx(0.9 + 0.06 * 2 + 0.04 * 3)
 
 
@@ -364,45 +372,48 @@ def check_trace(tree, spec, root):
     pin = tree.input
     mid = pin.mid
     z_pow = {}
-    for ev in tree.trace.events:
-        finals = [b.final for b in ev.bins]
+    for ev in split_trace(tree):
+        first, last = ev["range"]
+        lo, hi = ev["interval"]
+        bins = ev["bins"]
+        finals = [b["final"] for b in bins]
         # bins partition [first..last] left to right
-        assert finals[0][0] == ev.first
-        assert finals[-1][1] == ev.last
+        assert finals[0][0] == first
+        assert finals[-1][1] == last
         for (a1, b1), (a2, b2) in zip(finals, finals[1:]):
             assert a2 == b1 + 1
-        assert abs(ev.hi - ev.lo - ev.weight) < 1e-12
+        assert abs(hi - lo - ev["weight"]) < 1e-12
         assert abs(
-            math.fsum(b.final_weight for b in ev.bins) - ev.weight
+            math.fsum(b["final_weight"] for b in bins) - ev["weight"]
         ) < 1e-9
-        for b in ev.bins:
+        for b in bins:
             # fractional width is 2^(-c * c_m) of the node's weight
-            m = b.index
+            m = b["letter"]
             if m not in z_pow:
                 z_pow[m] = 2.0 ** (-root.value * spec.letter_cost(m))
-            assert abs((b.hi - b.lo) - ev.weight * z_pow[m]) < 1e-9
+            assert abs((b["hi"] - b["lo"]) - ev["weight"] * z_pow[m]) < 1e-9
             # initial contents are exactly the midpoints inside [lo, hi)
             inside = [
-                k for k in range(ev.first, ev.last + 1)
-                if b.lo <= mid[k] < b.hi
+                k for k in range(first, last + 1)
+                if b["lo"] <= mid[k] < b["hi"]
             ]
-            if b.initial is None:
-                if not ev.right_shifted:
+            if b["initial"] is None:
+                if not ev["right_shifted"]:
                     assert not inside
-                assert b.final[0] == b.final[1]
-                assert ev.left_shifted or ev.right_shifted
-            elif not (ev.left_shifted or ev.right_shifted):
-                assert inside == list(range(b.initial[0], b.initial[1] + 1))
-                assert b.final == b.initial
-        if ev.right_shifted:
-            assert ev.bins[-1].index == 2
-            assert ev.bins[-1].final == (ev.last, ev.last)
-        if not ev.right_shifted:
+                assert b["final"][0] == b["final"][1]
+                assert ev["left_shifted"] or ev["right_shifted"]
+            elif not (ev["left_shifted"] or ev["right_shifted"]):
+                assert inside == list(range(b["initial"][0], b["initial"][1] + 1))
+                assert b["final"] == b["initial"]
+        if ev["right_shifted"]:
+            assert bins[-1]["letter"] == 2
+            assert bins[-1]["final"] == [last, last]
+        if not ev["right_shifted"]:
             # shifts only move items toward cheaper bins: every item ends in
             # a bin starting at or before its own midpoint
-            for b in ev.bins:
-                for k in range(b.final[0], b.final[1] + 1):
-                    assert mid[k] >= b.lo - 1e-12
+            for b in bins:
+                for k in range(b["final"][0], b["final"][1] + 1):
+                    assert mid[k] >= b["lo"] - 1e-12
 
 
 def test_trace_invariants_random():
@@ -414,22 +425,94 @@ def test_trace_invariants_random():
         spec = parse_cost_spec(SPECS[trial % len(SPECS)])
         root = char_root(spec)
         pin = prepare(p, normalize=True)
-        tree = build_code(pin, spec, root, trace=True)
+        tree = build_code(pin, spec, root)
         check_trace(tree, spec, root)
-        assert tree.trace.total_bins() == tree.sum_branching()
+        assert sum(len(e["bins"]) for e in split_trace(tree)) == tree.sum_branching()
 
 
-def test_trace_matches_untraced_build():
-    rng = np.random.default_rng(43)
-    p = rng.random(40)
-    p /= p.sum()
-    spec = telegraph()
-    root = char_root(spec)
-    pin = prepare(p, normalize=True)
-    plain = build_code(pin, spec, root)
-    traced = build_code(pin, spec, root, trace=True)
-    assert [plain.codeword_letters(i) for i in range(40)] == \
-        [traced.codeword_letters(i) for i in range(40)]
+BIN_KEYS = ("letter", "lo", "hi", "initial", "final", "initial_weight", "final_weight")
+
+
+def record(node, slots, interval, weight, left, right, right_index, *bins):
+    """A `code --trace --format json` record; each bin is a tuple in BIN_KEYS order."""
+    return {"node": node, "range": slots, "interval": interval, "weight": weight,
+            "left_shifted": left, "right_shifted": right,
+            "right_shift_index": right_index,
+            "bins": [dict(zip(BIN_KEYS, b)) for b in bins]}
+
+
+# `code --trace --format json` records as printed while the trace was still
+# recorded inside build_code's loop; split_trace reproduces them exactly.
+PINNED_TRACES = [
+    # left shift
+    ('finite:1,2,3', '0.9,0.06,0.04', [
+        record(0, [0, 2], [0.0, 1.0], 1.0, True, False, None,
+               (1, 0.0, 0.5436890126919599, [0, 0], [0, 0],
+                0.9, 0.9),
+               (2, 0.5436890126919599, 0.839286755213918, None, [1, 1],
+                0.0, 0.05999999999999994),
+               (3, 0.839286755213918, 0.9999999999996536, [1, 2], [2, 2],
+                0.09999999999999998, 0.040000000000000036)),
+    ]),
+    # right shift
+    ('finite:1,5', '0.5,0.5', [
+        record(0, [0, 1], [0.0, 1.0], 1.0, False, True, 1,
+               (1, 0.0, 0.7548776662467955, [0, 1], [0, 0],
+                1.0, 0.5),
+               (2, 0.7548776662467955, 1.0000000000002698, None, [1, 1],
+                0.0, 0.5)),
+    ]),
+    # zero-mass chain, finite last letter
+    ('finite:1,2', '0.7,0.3,0,0,0', [
+        record(0, [0, 4], [0.0, 1.0], 1.0, False, False, None,
+               (1, 0.0, 0.6180339887498267, [0, 0], [0, 0],
+                0.7, 0.7),
+               (2, 0.6180339887498267, 0.9999999999998477, [1, 1], [1, 4],
+                0.30000000000000004, 0.30000000000000004)),
+        record(2, [1, 4], [0.7, 1.0], 0.30000000000000004, False, False, None,
+               (1, 0.7, 0.885410196624948, [1, 1], [1, 1],
+                0.30000000000000004, 0.30000000000000004),
+               (2, 0.885410196624948, 0.9999999999999543, None, [2, 4],
+                0.0, 0.0)),
+        record(4, [2, 4], [1.0, 1.0], 0.0, True, False, None,
+               (1, 1.0, 1.0, None, [2, 2],
+                0.0, 0.0),
+               (2, 1.0, 1.0, None, [3, 4],
+                0.0, 0.0)),
+        record(6, [3, 4], [1.0, 1.0], 0.0, True, False, None,
+               (1, 1.0, 1.0, None, [3, 3],
+                0.0, 0.0),
+               (2, 1.0, 1.0, None, [4, 4],
+                0.0, 0.0)),
+    ]),
+    # infinite alphabet
+    ('linear', 'dyadic:6', [
+        record(0, [0, 5], [0.0, 1.0], 1.0, True, False, None,
+               (1, 0.0, 0.5, [0, 0], [0, 0],
+                0.5, 0.5),
+               (2, 0.5, 0.75, [1, 1], [1, 1],
+                0.25, 0.25),
+               (3, 0.75, 0.875, [2, 2], [2, 2],
+                0.125, 0.125),
+               (4, 0.875, 0.9375, [3, 3], [3, 3],
+                0.0625, 0.0625),
+               (5, 0.9375, 0.96875, [4, 4], [4, 4],
+                0.03125, 0.03125),
+               (6, 0.96875, 0.984375, None, [5, 5],
+                0.0, 0.03125)),
+    ]),
+    # one symbol: the root's only child is a leaf, and nothing splits
+    ('linear', '1.0', []),
+]
+
+
+@pytest.mark.parametrize("spec_text,probs,expected", PINNED_TRACES)
+def test_split_trace_pinned(spec_text, probs, expected):
+    if probs.startswith("dyadic"):
+        tree = build(parse_gen(probs, 0), spec_text)
+    else:
+        tree = build([float(p) for p in probs.split(",")], spec_text)
+    assert split_trace(tree) == expected
 
 
 # ---------------------------------------------------------------------------

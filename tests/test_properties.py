@@ -1,0 +1,130 @@
+"""Property tests over generated cost specs and probability vectors.
+
+Any spec and vector either build a prefix-free code within the Kraft bound
+or raise BinUnderflowError; split_trace describes exactly the tree it was
+derived from; and the CLI maps any JSON array in a --probs file to a
+documented exit code.  Examples come from a fixed seed, so the suite is
+reproducible.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from varncode import (
+    BinUnderflowError,
+    build_code,
+    char_root,
+    parse_cost_spec,
+    prepare,
+    split_trace,
+    verify_prefix_free,
+)
+from varncode.cli import main
+
+FAMILIES = ("linear", "fib", "balanced", "telegraph", "repeat:1", "repeat:3",
+            "rll:1,3", "rll:2,5")
+
+
+def _profile_text(levels, tail):
+    return f"profile:{','.join(map(str, levels))};tail={tail}"
+
+
+def _has_two_letters(levels, tail):
+    return (tail == "repeat" and levels[-1] > 0) or sum(levels) >= 2
+
+
+finite_specs = st.lists(st.floats(1.0, 20.0), min_size=2, max_size=6).map(
+    lambda costs: "finite:" + ",".join(map(repr, costs)))
+profile_specs = st.tuples(
+    st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    st.sampled_from(("zero", "repeat")),
+).filter(lambda lt: _has_two_letters(*lt)).map(lambda lt: _profile_text(*lt))
+specs = st.one_of(st.sampled_from(FAMILIES), finite_specs, profile_specs)
+
+# Zeros, ties (a few shared values), extremes and ordinary masses; prepare
+# rescales, so only a positive total is needed.
+masses = st.one_of(
+    st.just(0.0),
+    st.sampled_from((1.0, 0.5, 0.25)),
+    st.sampled_from((5e-324, 1e-300, 1e-30, 1e30, 1e300, 1.7e308)),
+    st.floats(0.0, 1.0),
+)
+vectors = st.lists(masses, min_size=1, max_size=60).filter(
+    lambda ws: any(w > 0.0 for w in ws))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def slot_ranges(tree):
+    """(first, last) sorted slot of every node, from the public accessors."""
+    child = {(tree.parent_of(v), tree.letter_of(v)): v
+             for v in range(1, tree.num_nodes)}
+    first = [tree.n] * tree.num_nodes
+    last = [-1] * tree.num_nodes
+    for k, i in enumerate(tree.input.perm.tolist()):
+        path = [0]
+        for m in tree.codeword_letters(i):
+            path.append(child[(path[-1], m)])
+        for v in path:
+            first[v] = min(first[v], k)
+            last[v] = max(last[v], k)
+    return child, first, last
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(spec_text=specs, weights=vectors)
+def test_build_is_prefix_free_and_its_trace_is_the_tree(spec_text, weights):
+    spec = parse_cost_spec(spec_text)
+    pin = prepare(weights, normalize=True)
+    try:
+        tree = build_code(pin, spec, char_root(spec))
+    except BinUnderflowError:
+        return
+    assert verify_prefix_free([w for _, w, _ in tree.codewords()])
+    assert tree.kraft_sum() <= 1 + 1e-9
+
+    trace = split_trace(tree)
+    if tree.n == 1:
+        assert trace == []
+        return
+    internal = [v for v in range(tree.num_nodes) if not tree.is_leaf(v)]
+    assert [e["node"] for e in trace] == internal
+    assert sum(len(e["bins"]) for e in trace) == tree.num_nodes - 1
+    child, first, last = slot_ranges(tree)
+    for e in trace:
+        v = e["node"]
+        assert e["range"] == [first[v], last[v]]
+        finals = [b["final"] for b in e["bins"]]
+        # the bins partition the node's range, left to right
+        assert finals[0][0] == first[v] and finals[-1][1] == last[v]
+        assert all(b[0] == a[1] + 1 for a, b in zip(finals, finals[1:]))
+        # and each bin is the child on that letter, in letter order
+        letters = [b["letter"] for b in e["bins"]]
+        assert letters == sorted(m for p, m in child if p == v)
+        for m, (a, b) in zip(letters, finals):
+            u = child[(v, m)]
+            assert [first[u], last[u]] == [a, b]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(json_values, max_size=12), normalize=st.booleans(),
+       trace=st.booleans(), spec_text=st.sampled_from(("finite:1,2", "linear")))
+def test_cli_maps_any_json_probs_to_a_documented_exit(tmp_path_factory, values,
+                                                      normalize, trace, spec_text):
+    path = tmp_path_factory.getbasetemp() / "probs.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    argv = ["code", "--costs", spec_text, "--probs", str(path), "--format", "json"]
+    argv += ["--normalize"] * normalize + ["--trace"] * trace
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5)
