@@ -49,17 +49,14 @@ from .costs import (
     telegraph,
 )
 from .errors import (
-    BetaInfiniteError,
     BinUnderflowError,
     CapTooSmallError,
     CostSpecError,
     DivergentSpecError,
     DivergentTailError,
-    InfiniteAlphabetError,
     NoRootError,
     OracleTooLargeError,
     ProbInputError,
-    UnboundedProfileError,
     VarncodeError,
 )
 from .oracle import OracleResult, exact_opt, huffman_equal_cost

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coder import CodeTree, ProbInput
-from .costs import CharRoot, CostSpec, tail_sum_g
-from .errors import (
-    BetaInfiniteError,
-    DivergentSpecError,
-    DivergentTailError,
-    InfiniteAlphabetError,
-    UnboundedProfileError,
-)
+from .costs import CharRoot, CostSpec
+from .errors import DivergentSpecError, DivergentTailError
 
 BOUND_REFERENCE = "Mehlhorn_eqMbound"
 BOUND_MAX_COST = "Thm_first"
@@ -42,44 +36,32 @@ def entropy(probs) -> float:
     return float(np.sum(-pos * np.log2(pos)))
 
 
-def _second_cost_gap(spec: CostSpec) -> float:
-    return spec.letter_cost(2) - spec.letter_cost(1)
-
-
 def reference_bound(spec: CostSpec, root: CharRoot, p1: float, pn: float) -> float:
     """Prior-art comparison value: NR <= (1 - p1 - pn) + c*c_t.
 
-    Only meaningful for finite alphabets; grows with the largest letter cost,
-    which is what the sharper bounds below avoid.
+    Grows with the largest letter cost, which is what the sharper bounds
+    below avoid: inf for infinite alphabets, where c_t is infinite.
     """
-    if not spec.is_finite_alphabet:
-        raise InfiniteAlphabetError("reference bound needs a finite alphabet")
     return (1.0 - p1 - pn) + root.value * spec.max_cost
 
 
 def max_cost_bound(spec: CostSpec, root: CharRoot, p1: float) -> float:
-    """NR <= 2(1 - p1) + c*c_t for finite alphabets."""
-    if not spec.is_finite_alphabet:
-        raise InfiniteAlphabetError("max-cost bound needs a finite alphabet")
+    """NR <= 2(1 - p1) + c*c_t; inf for infinite alphabets."""
     return 2.0 * (1.0 - p1) + root.value * spec.max_cost
 
 
 def beta_bound(spec: CostSpec, root: CharRoot, p1: float) -> float:
-    """NR <= 2(1 - p1) + max(c*(c2 - c1), 1 + log2 beta) when beta is finite."""
-    if not math.isfinite(root.beta):
-        raise BetaInfiniteError("beta is infinite for this alphabet")
+    """NR <= 2(1 - p1) + max(c*(c2 - c1), 1 + log2 beta); inf when beta is."""
     return 2.0 * (1.0 - p1) + max(
-        root.value * _second_cost_gap(spec),
+        root.value * spec.second_cost_gap,
         1.0 + math.log2(root.beta),
     )
 
 
 def size_bound(spec: CostSpec, root: CharRoot, p1: float) -> float:
-    """NR <= 2(1 - p1) + max(c*(c2 - c1), 1 + log2 t) for finite alphabets."""
-    if not spec.is_finite_alphabet:
-        raise InfiniteAlphabetError("size bound needs a finite alphabet")
+    """NR <= 2(1 - p1) + max(c*(c2 - c1), 1 + log2 t); inf for infinite t."""
     return 2.0 * (1.0 - p1) + max(
-        root.value * _second_cost_gap(spec),
+        root.value * spec.second_cost_gap,
         1.0 + math.log2(spec.alphabet_size),
     )
 
@@ -89,16 +71,15 @@ def multiplicity_bound(spec: CostSpec, root: CharRoot, p1: float) -> float:
 
     With at most K letters per integer cost level, beta <= K/(1 - 2^(-c)) and
     NR <= 2(1 - p1) + max(c*(c2 - c1), 1 + log2(K/(1 - 2^(-c)))).  Non-integer
-    costs pay one extra c inside the logarithm's companion term.
+    costs pay one extra c inside the logarithm's companion term.  inf when
+    the profile is unbounded (K infinite).
     """
     K = spec.max_multiplicity()
-    if not math.isfinite(K):
-        raise UnboundedProfileError("multiplicity is unbounded for this alphabet")
     c = root.value
     log_term = 1.0 + math.log2(K / (1.0 - 2.0 ** (-c)))
     if not spec.integer_costs:
         log_term += c
-    return 2.0 * (1.0 - p1) + max(c * _second_cost_gap(spec), log_term)
+    return 2.0 * (1.0 - p1) + max(c * spec.second_cost_gap, log_term)
 
 
 @dataclass(frozen=True)
@@ -135,30 +116,25 @@ def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
         )
     c = root.value
     target = epsilon / 6.0
-    threshold = None
-    tail = None
     if spec.costs is not None:
-        levels = sorted(set(spec.costs))
-        candidates = [0.0] + levels
-        for N in candidates:
-            t = _finite_tail_beyond(spec, c, N)
+        for N in [0.0] + sorted(set(spec.costs)):
+            t = math.fsum(ci * 2.0 ** (-c * ci) for ci in spec.costs if ci > N + 1e-12)
             if t <= target:
                 threshold = N
                 tail = t
                 break
     else:
-        N = -1
-        while True:
-            N += 1
-            if N > 10 ** 6:
-                raise DivergentSpecError("tail scan failed to reach the target")
-            t = _profile_tail_beyond(spec, c, N)
+        z = 2.0 ** (-c)
+        for N in range(10 ** 6 + 1):
+            t = spec.family.weighted_tail_after(N, z)
             if t <= target:
                 threshold = float(N)
                 tail = t
                 break
+        else:
+            raise DivergentSpecError("tail scan failed to reach the target")
     count = spec.count_at_most(threshold)
-    f_value = (4.0 / 3.0) * (2.0 / c + _second_cost_gap(spec) + threshold)
+    f_value = (4.0 / 3.0) * (2.0 / c + spec.second_cost_gap + threshold)
     return ApproxBound(
         epsilon=epsilon,
         cost_threshold=threshold,
@@ -166,20 +142,6 @@ def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
         tail_value=tail,
         f_value=f_value,
     )
-
-
-def _finite_tail_beyond(spec: CostSpec, c: float, N: float) -> float:
-    return math.fsum(
-        ci * 2.0 ** (-c * ci) for ci in spec.costs if ci > N + 1e-12
-    )
-
-
-def _profile_tail_beyond(spec: CostSpec, c: float, N: int) -> float:
-    z = 2.0 ** (-c)
-    if spec.is_finite_alphabet:
-        count = spec.count_at_most(N)
-        return tail_sum_g(spec, c, count + 1)
-    return spec.family.weighted_tail_after(N, z)
 
 
 @dataclass(frozen=True)
@@ -202,7 +164,11 @@ class BoundValue:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Cost, entropy, redundancy, and every bound evaluated for one build."""
+    """Cost, entropy, redundancy, and every bound evaluated for one build.
+
+    `approx` is the ApproxBound behind the Thm_approx row, or None when that
+    row does not apply; to_dict leaves it out.
+    """
 
     cost: float
     entropy: float
@@ -210,6 +176,7 @@ class AnalysisReport:
     redundancy: float
     nr: float
     bounds: tuple[BoundValue, ...]
+    approx: ApproxBound | None = None
 
     def bound(self, name: str) -> BoundValue:
         for b in self.bounds:
@@ -235,7 +202,8 @@ class AnalysisReport:
 def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
     """Evaluate cost, entropy, redundancy, and the full bound table.
 
-    The tree carries its input, spec, and root.  `epsilon` enables the
+    The tree carries its input, spec, and root.  Each of the five fixed
+    bounds applies exactly when its value is finite.  `epsilon` enables the
     approximation-bound row, reported in NR form:
     2(1-p1) + c(c2-c1) + c*N_eps + (eps/2)*c*C(T).
     """
@@ -248,28 +216,21 @@ def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
     lower = H / c
     p1 = pinput.p1
     pn = pinput.pn
-    finite = spec.is_finite_alphabet
 
     rows = []
-    if finite:
-        rows.append(BoundValue(BOUND_REFERENCE, reference_bound(spec, root, p1, pn), True))
-        rows.append(BoundValue(BOUND_MAX_COST, max_cost_bound(spec, root, p1), True))
-    else:
-        rows.append(BoundValue(BOUND_REFERENCE, None, False, "infinite_alphabet"))
-        rows.append(BoundValue(BOUND_MAX_COST, None, False, "infinite_alphabet"))
-    if math.isfinite(root.beta):
-        rows.append(BoundValue(BOUND_BETA, beta_bound(spec, root, p1), True))
-    else:
-        rows.append(BoundValue(BOUND_BETA, None, False, "beta_infinite"))
-    if finite:
-        rows.append(BoundValue(BOUND_SIZE, size_bound(spec, root, p1), True))
-    else:
-        rows.append(BoundValue(BOUND_SIZE, None, False, "infinite_alphabet"))
-    if math.isfinite(spec.max_multiplicity()):
-        rows.append(BoundValue(BOUND_MULTIPLICITY, multiplicity_bound(spec, root, p1), True))
-    else:
-        rows.append(BoundValue(BOUND_MULTIPLICITY, None, False, "unbounded_profile"))
+    for name, value, reason in (
+        (BOUND_REFERENCE, reference_bound(spec, root, p1, pn), "infinite_alphabet"),
+        (BOUND_MAX_COST, max_cost_bound(spec, root, p1), "infinite_alphabet"),
+        (BOUND_BETA, beta_bound(spec, root, p1), "beta_infinite"),
+        (BOUND_SIZE, size_bound(spec, root, p1), "infinite_alphabet"),
+        (BOUND_MULTIPLICITY, multiplicity_bound(spec, root, p1), "unbounded_profile"),
+    ):
+        if math.isfinite(value):
+            rows.append(BoundValue(name, value, True))
+        else:
+            rows.append(BoundValue(name, None, False, reason))
 
+    ab = None
     if epsilon is None:
         rows.append(BoundValue(BOUND_APPROX_PREFIX, None, False, "epsilon_not_set"))
     elif not root.tail_convergent:
@@ -279,7 +240,7 @@ def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
         ab = approx_bound(spec, root, epsilon)
         value = (
             2.0 * (1.0 - p1)
-            + c * _second_cost_gap(spec)
+            + c * spec.second_cost_gap
             + c * ab.cost_threshold
             + 0.5 * epsilon * c * C
         )
@@ -292,4 +253,5 @@ def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
         redundancy=C - lower,
         nr=c * C - H,
         bounds=tuple(rows),
+        approx=ab,
     )

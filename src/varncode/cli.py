@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import approx_bound, report
+from .analysis import report
 from .coder import build_code, prepare, split_trace
 from .costs import char_root, parse_cost_spec
 from .errors import ProbInputError, VarncodeError
@@ -234,7 +234,7 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    tree, rep = _build(args)
+    _, rep = _build(args)
     if args.fmt == "json":
         emit_json(rep.to_dict())
     else:
@@ -248,8 +248,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 print(f"{b.name}: {b.value!r}")
             else:
                 print(f"{b.name}: n/a ({b.reason})")
-        if args.epsilon is not None and tree.root.tail_convergent:
-            ab = approx_bound(tree.spec, tree.root, args.epsilon)
+        ab = rep.approx
+        if ab is not None:
             print(
                 f"approx: C <= (1+{ab.epsilon:g})*OPT + {ab.f_value!r}"
                 f"  (N_eps={ab.cost_threshold:g}, m_eps={ab.index_threshold})"

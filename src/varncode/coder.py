@@ -231,13 +231,17 @@ class CodeTree:
         return float(np.dot(lc[self._letter], self._weight))
 
     def entropy_decomposition(self) -> float:
-        """H(p) recomputed as the weighted sum of per-split child entropies."""
+        """H(p) recomputed as the weighted sum of per-split child entropies.
+
+        Each child's share is taken of its siblings' summed weight, not of
+        the parent's stored weight, which can round to 0 while the children
+        hold subnormal masses.
+        """
+        parent = self._parent[1:]
         w = self._weight[1:]
-        pw = self._weight[self._parent[1:]]
+        pw = np.bincount(parent, weights=w)[parent]
         mask = w > 0.0
-        w = w[mask]
-        pw = pw[mask]
-        return float(np.sum(-w * np.log2(w / pw)))
+        return float(np.sum(-w[mask] * np.log2(w[mask] / pw[mask])))
 
     # -- serialization ---------------------------------------------------
 

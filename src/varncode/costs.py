@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     CostSpecError,
@@ -76,10 +77,12 @@ class ProfileFamily:
     multiplicity K (or infinity), and certified tails of sum_j j*d_j*z^j.
     """
 
-    name = "custom"
-
     def multiplicity(self, j: int) -> int:
         raise NotImplementedError
+
+    def levels(self) -> _Levels:
+        """Iterator of (j, d_j) for every level j that has letters, in order."""
+        return _Levels(self)
 
     def char_sum_z(self, z: float) -> float:
         """sum_j d_j z^j, or math.inf where the series diverges."""
@@ -109,42 +112,36 @@ class ProfileFamily:
         raise NotImplementedError
 
 
-class LinearFamily(ProfileFamily):
-    """One letter of every integer cost: d_j = 1."""
+class _Levels:
+    """Walk over the levels of a profile that have letters.
 
-    name = "linear"
+    Stops where the alphabet ends; an infinite alphabet raises CostSpecError
+    past level 10^7 instead of walking on.  An iterator class rather than a
+    generator, so a LetterTable holding a walk in progress still pickles.
+    """
 
-    def multiplicity(self, j):
-        return 1
+    def __init__(self, family: ProfileFamily):
+        self.family = family
+        self.total = family.total_letters()
+        self.j = self.seen = 0
 
-    def char_sum_z(self, z):
-        if z >= 1.0:
-            return math.inf
-        return z / (1.0 - z)
+    def __iter__(self):
+        return self
 
-    def closed_root(self):
-        # z/(1-z) = 1 at z = 1/2.
-        return 1.0
-
-    def sup_char_sum(self):
-        return math.inf
-
-    def max_multiplicity(self):
-        return 1.0
-
-    def tail_convergent_at(self, z):
-        return z < 1.0
-
-    def weighted_tail_after(self, level, z):
-        if not self.tail_convergent_at(z):
-            raise DivergentTailError("linear tail diverges at z >= 1")
-        return _geom_weighted_tail(z, level)
+    def __next__(self) -> tuple[int, int]:
+        while self.seen < self.total:
+            self.j += 1
+            if self.j > 10 ** 7:
+                raise CostSpecError("letter index beyond alphabet")
+            d = self.family.multiplicity(self.j)
+            if d:
+                self.seen += d
+                return self.j, d
+        raise StopIteration
 
 
 class RepeatFamily(ProfileFamily):
-    """d copies of every integer cost: d_j = d."""
-
-    name = "repeat"
+    """d copies of every integer cost: d_j = d (d = 1 is `linear`)."""
 
     def __init__(self, d: int):
         if d < 1:
@@ -184,7 +181,6 @@ _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 class FibonacciFamily(ProfileFamily):
     """Fibonacci multiplicities d_j = F_j (1, 1, 2, 3, 5, ...)."""
 
-    name = "fib"
     # generating function z/(1 - z - z^2), radius of convergence 1/phi
 
     def __init__(self):
@@ -225,7 +221,6 @@ class FibonacciFamily(ProfileFamily):
 class BalancedWordsFamily(ProfileFamily):
     """Balanced-word alphabet: d_j = 0 for odd j, 2*Catalan(j/2 - 1) for even j."""
 
-    name = "balanced"
     # generating function 1 - sqrt(1 - 4 z^2), radius 1/2, value 1 at z = 1/2
 
     def multiplicity(self, j):
@@ -270,8 +265,6 @@ class CustomProfileFamily(ProfileFamily):
     with tail "repeat" every level past J repeats d_J.  Either tail decides
     convergence exactly, so no further certificate is needed.
     """
-
-    name = "profile"
 
     def __init__(self, prefix, tail="zero"):
         prefix = tuple(int(d) for d in prefix)
@@ -383,14 +376,11 @@ class CostSpec:
                 raise CostSpecError("letter index beyond alphabet")
             return self.costs[m - 1]
         seen = 0
-        j = 0
-        while True:
-            j += 1
-            if j > 10 ** 7:
-                raise CostSpecError("letter index beyond alphabet")
-            seen += self.family.multiplicity(j)
+        for j, d in self.family.levels():
+            seen += d
             if seen >= m:
                 return float(j)
+        raise CostSpecError("letter index beyond alphabet")
 
     @property
     def max_cost(self) -> float:
@@ -399,17 +389,12 @@ class CostSpec:
             return self.costs[-1]
         if not self.is_finite_alphabet:
             return math.inf
-        top = 0
-        j = 0
-        remaining = self.alphabet_size
-        seen = 0
-        while seen < remaining:
-            j += 1
-            d = self.family.multiplicity(j)
-            if d:
-                seen += d
-                top = j
-        return float(top)
+        return float(max(j for j, _ in self.family.levels()))
+
+    @cached_property
+    def second_cost_gap(self) -> float:
+        """c_2 - c_1, read by four of the bounds; computed once per spec."""
+        return self.letter_cost(2) - self.letter_cost(1)
 
     @property
     def integer_costs(self) -> bool:
@@ -450,10 +435,10 @@ class CostSpec:
         if self.costs is not None:
             return sum(1 for c in self.costs if c <= threshold + 1e-12)
         n = 0
-        j = 1
-        while j <= threshold + 1e-12:
-            n += self.family.multiplicity(j)
-            j += 1
+        for j, d in self.family.levels():
+            if j > threshold + 1e-12:
+                break
+            n += d
         return n
 
     # -- normalization --------------------------------------------------
@@ -493,7 +478,7 @@ def finite_list(costs, label="") -> CostSpec:
 
 
 def linear() -> CostSpec:
-    return CostSpec(family=LinearFamily(), label="linear")
+    return CostSpec(family=RepeatFamily(1), label="linear")
 
 
 def repeat(d: int) -> CostSpec:
@@ -753,17 +738,9 @@ def tail_sum_g(spec: CostSpec, root: CharRoot | float, from_index: int) -> float
         )
     fam = spec.family
     if spec.is_finite_alphabet:
-        t = int(spec.alphabet_size)
-        if from_index > t:
-            return 0.0
         terms = []
         seen = 0
-        j = 0
-        while seen < t:
-            j += 1
-            d = fam.multiplicity(j)
-            if not d:
-                continue
+        for j, d in fam.levels():
             lo = seen + 1
             seen += d
             count = seen - max(lo, from_index) + 1
@@ -773,10 +750,7 @@ def tail_sum_g(spec: CostSpec, root: CharRoot | float, from_index: int) -> float
     if not fam.tail_convergent_at(z):
         raise DivergentTailError("cost-weighted tail diverges at the root")
     seen = 0
-    j = 0
-    while True:
-        j += 1
-        d = fam.multiplicity(j)
+    for j, d in fam.levels():
         seen += d
         if seen >= from_index:
             break
@@ -798,12 +772,13 @@ class LetterTable:
     """
 
     def __init__(self, spec: CostSpec, c: float):
-        self.spec = spec
         self.c = c
         self.costs = [0.0]
         self.cum = [0.0]
         self._level = 0
         self._left = 0
+        # A finite list is materialized here, so its walk is empty.
+        self._levels = iter(()) if spec.family is None else spec.family.levels()
         if spec.costs is not None:
             acc = 0.0
             for ci in spec.costs:
@@ -815,19 +790,12 @@ class LetterTable:
         """Extend the table so letter m is materialized."""
         costs = self.costs
         cum = self.cum
-        if len(costs) > m:
-            return
-        spec = self.spec
-        if spec.costs is not None:
-            raise CostSpecError("letter index beyond alphabet")
-        fam = spec.family
-        total = fam.total_letters()
         while len(costs) <= m:
-            while self._left == 0:
-                self._level += 1
-                if self._level > 10 ** 7 or len(costs) - 1 >= total:
+            if self._left == 0:
+                level = next(self._levels, None)
+                if level is None:
                     raise CostSpecError("letter index beyond alphabet")
-                self._left = fam.multiplicity(self._level)
+                self._level, self._left = level
             w = 2.0 ** (-self.c * self._level)
             batch = min(self._left, m + 1 - len(costs))
             base = cum[-1]

@@ -44,24 +44,6 @@ class DivergentTailError(VarncodeError):
     reason = "divergent_tail"
 
 
-class UnboundedProfileError(VarncodeError):
-    """A bound needing max multiplicity K was requested but the profile is unbounded."""
-
-    reason = "unbounded_profile"
-
-
-class BetaInfiniteError(VarncodeError):
-    """A bound needing finite beta was requested but beta is infinite."""
-
-    reason = "beta_infinite"
-
-
-class InfiniteAlphabetError(VarncodeError):
-    """A finite-alphabet-only quantity was requested for an infinite alphabet."""
-
-    reason = "infinite_alphabet"
-
-
 class BinUnderflowError(VarncodeError):
     """A split bin's floating-point width collapsed to zero with positive mass left."""
 

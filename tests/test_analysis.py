@@ -14,8 +14,6 @@ from varncode import (
     BOUND_REFERENCE,
     BOUND_SIZE,
     DivergentTailError,
-    InfiniteAlphabetError,
-    UnboundedProfileError,
     approx_bound,
     balanced_words,
     beta_bound,
@@ -74,8 +72,6 @@ def test_reference_bound_telegraph():
     assert reference_bound(spec, root, p1, pn) == pytest.approx(
         0.4 + ROOT_12 * 2.0, abs=1e-9
     )
-    with pytest.raises(InfiniteAlphabetError):
-        reference_bound(linear(), char_root(linear()), p1, pn)
 
 
 def test_max_cost_bound_telegraph():
@@ -126,8 +122,20 @@ def test_multiplicity_bound_values():
     expect2 = 1.0 + max(froot.value * 0.5, base)
     assert multiplicity_bound(frac, froot, p1) == pytest.approx(expect2, abs=1e-9)
 
-    with pytest.raises(UnboundedProfileError):
-        multiplicity_bound(balanced_words(), char_root(balanced_words()), p1)
+
+def test_bounds_are_inf_where_their_quantity_is_infinite():
+    """c_t and t are infinite for every infinite alphabet; beta and K are
+    infinite for fib and balanced but finite (2 and 1) for linear."""
+    p1, pn = hand_probs()
+    for spec, beta_and_k_infinite in (
+        (linear(), False), (fibonacci(), True), (balanced_words(), True),
+    ):
+        root = char_root(spec)
+        assert reference_bound(spec, root, p1, pn) == math.inf
+        assert max_cost_bound(spec, root, p1) == math.inf
+        assert size_bound(spec, root, p1) == math.inf
+        for bound in (beta_bound, multiplicity_bound):
+            assert (bound(spec, root, p1) == math.inf) == beta_and_k_infinite
 
 
 def test_bound_orderings():
@@ -278,6 +286,7 @@ def test_report_balanced_rows():
     row = rep2.bound(BOUND_APPROX_PREFIX + "(0.5)")
     assert not row.applicable
     assert row.reason == "divergent_tail"
+    assert rep2.approx is None
 
 
 def test_report_epsilon_row():
@@ -289,6 +298,19 @@ def test_report_epsilon_row():
         + 0.5 * 0.25 * c * tree.cost()
     assert row.value == pytest.approx(expect, abs=1e-9)
     assert rep.nr <= row.value + 1e-7
+    assert rep.approx == approx_bound(tree.spec, root, 0.25)
+    assert "approx" not in rep.to_dict()
+
+
+def test_report_row_whose_value_overflows_does_not_apply():
+    """c = 2 and c_t = 1e308: c*c_t is inf on a finite alphabet, so the two
+    rows built on it read n/a rather than an applicable inf."""
+    rep, _, root = build_and_report((0.5, 0.3, 0.2), "finite:1,1,1,1,1e308")
+    assert root.value == pytest.approx(2.0)
+    for name in (BOUND_REFERENCE, BOUND_MAX_COST):
+        assert rep.bound(name).value is None
+        assert not rep.bound(name).applicable
+    assert all(b.applicable for b in rep.bounds[2:5])
 
 
 def test_report_to_dict_schema():

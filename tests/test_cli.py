@@ -436,9 +436,6 @@ ERROR_MAPPING = {
     "NoRootError": ("no_root", 3),
     "DivergentSpecError": ("divergent_spec", 3),
     "DivergentTailError": ("divergent_tail", 3),
-    "UnboundedProfileError": ("unbounded_profile", 3),
-    "BetaInfiniteError": ("beta_infinite", 3),
-    "InfiniteAlphabetError": ("infinite_alphabet", 3),
     "BinUnderflowError": ("bin_underflow", 3),
     "OracleTooLargeError": ("oracle_too_large", 4),
     "CapTooSmallError": ("cap_too_small", 4),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -338,6 +339,24 @@ def test_decomposition_identities():
         H = -math.fsum(float(q) * math.log2(float(q)) for q in pin.probs if q > 0)
         assert abs(tree.cost_decomposition() - direct_cost) < 1e-7
         assert abs(tree.entropy_decomposition() - H) < 1e-7
+
+
+@pytest.mark.parametrize("spec_text", ["finite:1,2", "linear", "fib", "profile:1,1"])
+def test_tree_pickles_with_its_lazy_letter_table(spec_text):
+    tree = build(THIRDS_SIXTHS, spec_text)
+    copy = pickle.loads(pickle.dumps(tree))
+    assert list(copy.codewords()) == list(tree.codewords())
+    assert split_trace(copy) == split_trace(tree)
+
+
+@pytest.mark.parametrize("probs", [[1.0, 1e-300, 1e-300], [0.0, 1.0, 5e-324]])
+def test_entropy_decomposition_with_a_zero_weight_parent(probs):
+    """The internal node over the two smallest masses stores weight 0 (a prefix
+    difference that rounds away); its children still split finitely."""
+    tree = build(probs, "finite:1,1", normalize=True)
+    H = -math.fsum(float(q) * math.log2(float(q)) for q in tree.input.probs if q > 0)
+    assert 0.0 <= tree.entropy_decomposition() <= 1e-295
+    assert abs(tree.entropy_decomposition() - H) < 1e-9
 
 
 def test_permutation_invariance():

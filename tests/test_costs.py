@@ -87,6 +87,19 @@ def test_letter_cost_indexing():
     assert [fib.letter_cost(m) for m in (1, 2, 3, 4, 5, 7)] == [1.0, 2.0, 3.0, 3.0, 4.0, 4.0]
 
 
+def test_letter_cost_stops_where_a_profile_alphabet_ends():
+    spec = custom_profile([1, 1])
+    fam = spec.family
+    levels_read = []
+    multiplicity = fam.multiplicity
+    fam.multiplicity = lambda j: levels_read.append(j) or multiplicity(j)
+    assert spec.letter_cost(2) == 2.0
+    with pytest.raises(CostSpecError):
+        spec.letter_cost(3)
+    # the walk ends at the last letter, not after 10^7 empty levels
+    assert max(levels_read) == 2
+
+
 def test_normalize_rescales_finite_lists():
     spec = finite_list([2.0, 4.0, 7.0])
     assert not spec.is_normalized
@@ -416,10 +429,13 @@ def test_parse_finite_and_shorthands():
 
 
 def test_parse_profile_families():
-    assert parse_cost_spec("linear").family.name == "linear"
+    lin = parse_cost_spec("linear")
+    assert (lin.label, lin.d_profile(4)) == ("linear", (1, 1, 1, 1))
     assert parse_cost_spec("repeat:3").family.d == 3
-    assert parse_cost_spec("fib").family.name == "fib"
-    assert parse_cost_spec("balanced").family.name == "balanced"
+    fib = parse_cost_spec("fib")
+    assert (fib.label, fib.d_profile(6)) == ("fib", (1, 1, 2, 3, 5, 8))
+    bal = parse_cost_spec("balanced")
+    assert (bal.label, bal.d_profile(8)) == ("balanced", (0, 2, 0, 2, 0, 4, 0, 10))
     prof = parse_cost_spec("profile:1,0,2;tail=repeat")
     assert prof.family.prefix == (1, 0, 2)
     assert prof.family.tail == "repeat"

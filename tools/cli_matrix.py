@@ -1,0 +1,94 @@
+"""Print a byte-identity fingerprint of the CLI over a fixed case matrix.
+
+Usage: python3 tools/cli_matrix.py SRC_DIR
+
+Imports varncode from SRC_DIR (the directory that holds the `varncode`
+package) and runs `varncode.cli.main` in-process on every case.  Each case
+prints one tab-separated line: the argv, the exit code, the sha256 of
+stdout, and the first two whitespace tokens of stderr.  Run it on two
+checkouts and diff the outputs: an empty diff means every case printed the
+same bytes and exited the same way.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+
+SPECS = (
+    "finite:1,2", "finite:1,1", "finite:1,1.5,3", "finite:2,3,7",
+    "finite:1,1,1,1", "telegraph", "rll:1,3", "rll:2,5", "linear",
+    "repeat:1", "repeat:3", "fib", "balanced", "profile:1,1",
+    "profile:0,2,1", "profile:2,1,1;tail=zero", "profile:1,0,2;tail=repeat",
+    "profile:0,1;tail=repeat", "profile:1,1,0;tail=repeat",
+)
+INPUTS = (
+    ("--inline", "1.0"), ("--inline", "0.5,0.5"), ("--inline", "0.7,0.3,0,0,0"),
+    ("--inline", "0.4,0.3,0.2,0.1"), ("--gen", "uniform:7"), ("--gen", "dyadic:9"),
+    ("--gen", "zipf:1.0,40"), ("--gen", "geom:0.3,12"),
+)
+FORMATS = (("--format", "text"), ("--format", "json"))
+EPSILONS = ((), ("--epsilon", "0.25"), ("--epsilon", "0.5"), ("--epsilon", "0.7"))
+SMALL_INPUTS = INPUTS[:5]
+PARSE_ERRORS = (
+    ("root", "--costs", "finite:1"),
+    ("root", "--costs", "bogus"),
+    ("root", "--costs", "profile:1,-2"),
+    ("root", "--costs", "profile:1;tail=zero"),
+    ("root", "--costs", "repeat:2.5"),
+    ("root",),
+    ("code", "--costs", "linear", "--gen", "nope:3"),
+    ("code", "--costs", "linear", "--inline", "0.5,x"),
+    ("code", "--costs", "linear", "--inline", "0.5,0.4"),
+    ("bounds", "--costs", "fib", "--gen", "uniform:5", "--epsilon", "0"),
+    ("compare", "--costs", "finite:1,1,1,1,1", "--gen", "uniform:3"),
+    ("oracle", "--costs", "finite:1,2", "--inline", "0.5,0.5", "--cap", "0.5"),
+)
+
+
+def cases():
+    for spec in SPECS:
+        costs = ("--costs", spec)
+        for fmt in FORMATS:
+            yield ("root",) + costs + fmt
+            for inp in INPUTS:
+                for eps in EPSILONS:
+                    yield ("bounds",) + costs + inp + fmt + eps
+                    for extra in ((), ("--trace", "--tree")):
+                        yield ("code",) + costs + inp + fmt + eps + extra
+            for inp in SMALL_INPUTS:
+                yield ("oracle",) + costs + inp + fmt
+                for eps in EPSILONS[:3]:
+                    yield ("compare",) + costs + inp + fmt + eps
+    yield from PARSE_ERRORS
+
+
+def run(main, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, digest, " ".join(err.getvalue().split()[:2])
+
+
+def main():
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: cli_matrix.py SRC_DIR")
+    sys.path.insert(0, sys.argv[1])
+    from varncode.cli import main as cli_main
+
+    count = 0
+    for argv in cases():
+        code, digest, err = run(cli_main, argv)
+        print(f"{' '.join(argv)}\t{code}\t{digest}\t{err}")
+        count += 1
+    print(f"# {count} cases", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
