@@ -45,7 +45,6 @@ from .costs import (
     linear,
     parse_cost_spec,
     repeat,
-    tail_sum_g,
     telegraph,
 )
 from .errors import (
@@ -54,7 +53,6 @@ from .errors import (
     CostSpecError,
     DivergentSpecError,
     DivergentTailError,
-    NoRootError,
     OracleTooLargeError,
     ProbInputError,
     VarncodeError,

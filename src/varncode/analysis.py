@@ -16,7 +16,7 @@ import numpy as np
 
 from .coder import CodeTree, ProbInput
 from .costs import CharRoot, CostSpec
-from .errors import DivergentSpecError, DivergentTailError
+from .errors import DivergentTailError
 
 BOUND_REFERENCE = "Mehlhorn_eqMbound"
 BOUND_MAX_COST = "Thm_first"
@@ -24,6 +24,10 @@ BOUND_BETA = "Thm_beta"
 BOUND_SIZE = "Thm_tbound"
 BOUND_MULTIPLICITY = "Lem_Kbound"
 BOUND_APPROX_PREFIX = "Thm_approx"
+
+# approx_bound's tails, the weighted sum minus the levels passed, are good to
+# this fraction of the sum: rounding of the closed form and of each level.
+_TAIL_RESOLUTION = 2.0 ** -40
 
 
 def entropy(probs) -> float:
@@ -101,12 +105,17 @@ class ApproxBound:
 
 
 def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
-    """Compute N_eps by scanning cost levels and assemble f(C, eps).
+    """Compute N_eps in one walk up the cost levels and assemble f(C, eps).
 
-    Scan candidates are the integer levels for profiles and the distinct
-    letter costs for finite lists; the tail at N sums c_m * 2^(-c*c_m) over
-    letters with cost strictly greater than N, so a finite alphabet always
-    terminates at its largest cost.
+    The tail at N sums c_m * 2^(-c*c_m) over letters costing more than N: the
+    alphabet's weighted sum minus the levels passed so far, and exactly 0
+    once a finite alphabet's last level is passed.  The walk stops at the
+    first N (0 or a level's cost) whose tail is at most epsilon/6, having
+    counted the letters costing at most N on the way.
+
+    That difference is good to about 2^-40 of the weighted sum, so a smaller
+    epsilon/6 is refused (ValueError) on an infinite alphabet, and on a
+    finite one takes the last level, the one N whose tail is known exactly.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
@@ -116,24 +125,23 @@ def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
         )
     c = root.value
     target = epsilon / 6.0
-    if spec.costs is not None:
-        for N in [0.0] + sorted(set(spec.costs)):
-            t = math.fsum(ci * 2.0 ** (-c * ci) for ci in spec.costs if ci > N + 1e-12)
-            if t <= target:
-                threshold = N
-                tail = t
-                break
-    else:
-        z = 2.0 ** (-c)
-        for N in range(10 ** 6 + 1):
-            t = spec.family.weighted_tail_after(N, z)
-            if t <= target:
-                threshold = float(N)
-                tail = t
-                break
-        else:
-            raise DivergentSpecError("tail scan failed to reach the target")
-    count = spec.count_at_most(threshold)
+    size = spec.alphabet_size
+    total = spec.weighted_sum(c)
+    if target < total * _TAIL_RESOLUTION:
+        if size == math.inf:
+            raise ValueError(
+                f"epsilon must be at least {6.0 * total * _TAIL_RESOLUTION:.3g}"
+                f" for {spec.label}: the weighted tail is not resolved finer"
+            )
+        target = -math.inf
+    threshold, count, passed, tail = 0.0, 0, 0.0, total
+    for cost, d in spec.levels():
+        if tail <= target:
+            break
+        threshold = cost
+        count += d
+        passed += d * cost * 2.0 ** (-c * cost)
+        tail = total - passed if count < size else 0.0
     f_value = (4.0 / 3.0) * (2.0 / c + spec.second_cost_gap + threshold)
     return ApproxBound(
         epsilon=epsilon,
@@ -203,7 +211,8 @@ def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
     """Evaluate cost, entropy, redundancy, and the full bound table.
 
     The tree carries its input, spec, and root.  Each of the five fixed
-    bounds applies exactly when its value is finite.  `epsilon` enables the
+    bounds applies exactly when its value is finite; on a finite alphabet an
+    infinite value can only be a float overflow.  `epsilon` enables the
     approximation-bound row, reported in NR form:
     2(1-p1) + c(c2-c1) + c*N_eps + (eps/2)*c*C(T).
     """
@@ -217,6 +226,7 @@ def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
     p1 = pinput.p1
     pn = pinput.pn
 
+    finite = spec.is_finite_alphabet
     rows = []
     for name, value, reason in (
         (BOUND_REFERENCE, reference_bound(spec, root, p1, pn), "infinite_alphabet"),
@@ -228,7 +238,8 @@ def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
         if math.isfinite(value):
             rows.append(BoundValue(name, value, True))
         else:
-            rows.append(BoundValue(name, None, False, reason))
+            rows.append(BoundValue(name, None, False,
+                                   "overflow" if finite else reason))
 
     ab = None
     if epsilon is None:

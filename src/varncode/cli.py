@@ -3,7 +3,7 @@
 Subcommands: root (characteristic root), code (build + codewords + report),
 bounds (report only), oracle (exact small-instance optimum), compare (coder
 vs oracle), bench (timing CSV).  Exit codes: 0 ok, 2 parse/input error,
-3 numeric error (no root, divergence, underflow), 4 oracle limits, 5 audit
+3 numeric error (divergence, underflow), 4 oracle limits, 5 audit
 violation.
 """
 

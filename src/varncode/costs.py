@@ -15,16 +15,12 @@ terms of c and a few tail sums computed here.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    CostSpecError,
-    DivergentSpecError,
-    DivergentTailError,
-    NoRootError,
-)
+from .errors import CostSpecError, DivergentSpecError
 
 FINITE_LIST = "FiniteList"
 INTEGER_PROFILE = "IntegerProfile"
@@ -34,33 +30,12 @@ INTEGER_PROFILE = "IntegerProfile"
 INTEGER_SNAP = 1e-9
 
 _DEFAULT_ROOT_TOL = 1e-12
-_TAIL_TOL = 1e-12
 
 
 def _geom_weighted_tail(z: float, level: int) -> float:
     """sum_{j > level} j * z^j for 0 < z < 1, in closed form."""
     m = level
     return z ** (m + 1) * ((m + 1) - m * z) / (1.0 - z) ** 2
-
-
-def _dominated_tail(multiplicity, level: int, z: float, rho: float) -> float:
-    """sum_{j > level} j d_j z^j for multiplicities d_j <= rho^(j-1), rho*z < 1.
-
-    Terms are summed until the geometric-derivative tail of r = rho*z, scaled
-    by 1/rho, bounds the remainder by half the tail tolerance.
-    """
-    r = rho * z
-    terms = []
-    j = level
-    while True:
-        j += 1
-        bound = _geom_weighted_tail(r, j - 1) / rho
-        if bound <= 0.5 * _TAIL_TOL:
-            break
-        d = multiplicity(j)
-        if d:
-            terms.append(j * d * z ** j)
-    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +46,10 @@ class ProfileFamily:
     """Integer-cost alphabet described by multiplicities d_j, j = 1, 2, ...
 
     Subclasses supply the analytic facts the rest of the package needs:
-    multiplicities, the characteristic sum as a function of z = 2^(-c), an
-    exact root when one is known, the supremum of the characteristic sum over
-    its convergence region (to decide root existence), the largest
-    multiplicity K (or infinity), and certified tails of sum_j j*d_j*z^j.
+    multiplicities, the characteristic sum S(z) = sum_j d_j z^j and the
+    weighted sum z*S'(z) = sum_j j*d_j*z^j as functions of z = 2^(-c) (each
+    math.inf where its series diverges), an exact root when one is known,
+    and the largest multiplicity K (or infinity).
     """
 
     def multiplicity(self, j: int) -> int:
@@ -88,12 +63,12 @@ class ProfileFamily:
         """sum_j d_j z^j, or math.inf where the series diverges."""
         raise NotImplementedError
 
+    def weighted_sum_z(self, z: float) -> float:
+        """sum_j j d_j z^j, or math.inf where the series diverges."""
+        raise NotImplementedError
+
     def closed_root(self) -> float | None:
         return None
-
-    def sup_char_sum(self) -> float:
-        """Supremum of the characteristic sum over z in (0, 1)."""
-        raise NotImplementedError
 
     def total_letters(self) -> float:
         """Number of letters (math.inf for infinite alphabets)."""
@@ -101,14 +76,6 @@ class ProfileFamily:
 
     def max_multiplicity(self) -> float:
         """K = max_j d_j, or math.inf when the profile is unbounded."""
-        raise NotImplementedError
-
-    def tail_convergent_at(self, z: float) -> bool:
-        """Whether sum_j j d_j z^j converges."""
-        raise NotImplementedError
-
-    def weighted_tail_after(self, level: int, z: float) -> float:
-        """sum_{j > level} j d_j z^j with truncation error below 1e-12."""
         raise NotImplementedError
 
 
@@ -156,26 +123,17 @@ class RepeatFamily(ProfileFamily):
             return math.inf
         return self.d * z / (1.0 - z)
 
+    def weighted_sum_z(self, z):
+        if z >= 1.0:
+            return math.inf
+        return self.d * z / (1.0 - z) ** 2
+
     def closed_root(self):
         # d*z/(1-z) = 1 at z = 1/(d+1).
         return math.log2(self.d + 1)
 
-    def sup_char_sum(self):
-        return math.inf
-
     def max_multiplicity(self):
         return float(self.d)
-
-    def tail_convergent_at(self, z):
-        return z < 1.0
-
-    def weighted_tail_after(self, level, z):
-        if not self.tail_convergent_at(z):
-            raise DivergentTailError("repeat tail diverges at z >= 1")
-        return self.d * _geom_weighted_tail(z, level)
-
-
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 class FibonacciFamily(ProfileFamily):
@@ -198,24 +156,18 @@ class FibonacciFamily(ProfileFamily):
             return math.inf
         return z / den
 
+    def weighted_sum_z(self, z):
+        den = 1.0 - z - z * z
+        if den <= 0.0:
+            return math.inf
+        return z * (1.0 + z * z) / (den * den)
+
     def closed_root(self):
         # z/(1-z-z^2) = 1 at z = sqrt(2) - 1.
         return -math.log2(math.sqrt(2.0) - 1.0)
 
-    def sup_char_sum(self):
-        return math.inf
-
     def max_multiplicity(self):
         return math.inf
-
-    def tail_convergent_at(self, z):
-        return z < 1.0 / _PHI
-
-    def weighted_tail_after(self, level, z):
-        if not self.tail_convergent_at(z):
-            raise DivergentTailError("fibonacci tail diverges at z >= 1/phi")
-        # F_j <= phi^(j-1)
-        return _dominated_tail(self.multiplicity, level, z, _PHI)
 
 
 class BalancedWordsFamily(ProfileFamily):
@@ -235,35 +187,29 @@ class BalancedWordsFamily(ProfileFamily):
             return math.inf
         return 1.0 - math.sqrt(1.0 - x)
 
+    def weighted_sum_z(self, z):
+        # z * d/dz (1 - sqrt(1 - 4z^2)); infinite slope at z = 1/2.
+        x = 4.0 * z * z
+        if x >= 1.0:
+            return math.inf
+        return x / math.sqrt(1.0 - x)
+
     def closed_root(self):
         # The characteristic sum reaches 1 exactly at the convergence boundary
         # z = 1/2; its slope is infinite there, which is why this root is not
         # reachable by bisection to the requested tolerance.
         return 1.0
 
-    def sup_char_sum(self):
-        return 1.0
-
     def max_multiplicity(self):
         return math.inf
-
-    def tail_convergent_at(self, z):
-        # sum j d_j z^j behaves like sum j^(-1/2) (2z)^j: divergent at z = 1/2.
-        return z < 0.5
-
-    def weighted_tail_after(self, level, z):
-        if not self.tail_convergent_at(z):
-            raise DivergentTailError("balanced-word tail diverges at z >= 1/2")
-        # d_j <= 2 * 4^(j/2 - 1) = 2^(j-1)
-        return _dominated_tail(self.multiplicity, level, z, 2.0)
 
 
 class CustomProfileFamily(ProfileFamily):
     """Explicit multiplicity prefix with a zero or repeating tail.
 
     `prefix` lists d_1..d_J.  With tail "zero" the alphabet ends at level J;
-    with tail "repeat" every level past J repeats d_J.  Either tail decides
-    convergence exactly, so no further certificate is needed.
+    with tail "repeat" every level past J repeats d_J, and `repeats` says
+    whether that makes the alphabet infinite (d_J > 0).
     """
 
     def __init__(self, prefix, tail="zero"):
@@ -272,11 +218,12 @@ class CustomProfileFamily(ProfileFamily):
             raise CostSpecError("profile prefix must be nonempty with d_j >= 0")
         if tail not in ("zero", "repeat"):
             raise CostSpecError(f"unknown profile tail rule {tail!r}")
-        # A repeat tail of d_J = 0 ends the alphabet at level J, like a zero tail.
-        if not (tail == "repeat" and prefix[-1] > 0) and sum(prefix) < 2:
-            raise CostSpecError("profile must supply at least 2 letters")
         self.prefix = prefix
         self.tail = tail
+        # A repeat tail of d_J = 0 ends the alphabet at level J, like a zero tail.
+        self.repeats = tail == "repeat" and prefix[-1] > 0
+        if not self.repeats and sum(prefix) < 2:
+            raise CostSpecError("profile must supply at least 2 letters")
 
     def multiplicity(self, j):
         if j <= len(self.prefix):
@@ -285,42 +232,28 @@ class CustomProfileFamily(ProfileFamily):
 
     def char_sum_z(self, z):
         base = math.fsum(d * z ** j for j, d in enumerate(self.prefix, start=1))
-        if self.tail == "zero" or self.prefix[-1] == 0:
+        if not self.repeats:
             return base
         if z >= 1.0:
             return math.inf
         J = len(self.prefix)
         return base + self.prefix[-1] * z ** (J + 1) / (1.0 - z)
 
-    def sup_char_sum(self):
-        if self.tail == "repeat" and self.prefix[-1] > 0:
+    def weighted_sum_z(self, z):
+        base = math.fsum(
+            j * d * z ** j for j, d in enumerate(self.prefix, start=1)
+        )
+        if not self.repeats:
+            return base
+        if z >= 1.0:
             return math.inf
-        return float(sum(self.prefix))
+        return base + self.prefix[-1] * _geom_weighted_tail(z, len(self.prefix))
 
     def total_letters(self):
-        if self.tail == "repeat" and self.prefix[-1] > 0:
-            return math.inf
-        return float(sum(self.prefix))
+        return math.inf if self.repeats else float(sum(self.prefix))
 
     def max_multiplicity(self):
         return float(max(self.prefix))
-
-    def tail_convergent_at(self, z):
-        if self.tail == "zero" or self.prefix[-1] == 0:
-            return True
-        return z < 1.0
-
-    def weighted_tail_after(self, level, z):
-        if not self.tail_convergent_at(z):
-            raise DivergentTailError("repeating profile tail diverges at z >= 1")
-        J = len(self.prefix)
-        head = math.fsum(
-            j * self.prefix[j - 1] * z ** j
-            for j in range(level + 1, J + 1)
-        )
-        if self.tail == "zero" or self.prefix[-1] == 0:
-            return head
-        return head + self.prefix[-1] * _geom_weighted_tail(z, max(level, J))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +343,29 @@ class CostSpec:
             return math.fsum(2.0 ** (-c * ci) for ci in self.costs)
         return self.family.char_sum_z(2.0 ** (-c))
 
+    def weighted_sum(self, c: float) -> float:
+        """sum_i c_i 2^(-c*c_i); math.inf where the series diverges."""
+        if self.costs is not None:
+            return math.fsum(ci * 2.0 ** (-c * ci) for ci in self.costs)
+        return self.family.weighted_sum_z(2.0 ** (-c))
+
+    def levels(self):
+        """(cost, count) for each cost level with letters, cheapest first.
+
+        Profile levels are the integer costs j with d_j > 0.  A finite list
+        groups each cost with the costs at most 1e-12 above it.
+        """
+        if self.costs is None:
+            for j, d in self.family.levels():
+                yield float(j), d
+            return
+        costs = self.costs
+        i = 0
+        while i < len(costs):
+            k = bisect_right(costs, costs[i] + 1e-12, i)
+            yield costs[i], k - i
+            i = k
+
     def d_profile(self, up_to: int) -> tuple[int, ...]:
         """Multiplicities d_1..d_up_to; d_j counts costs in [j, j+1)."""
         if up_to < 1:
@@ -429,17 +385,6 @@ class CostSpec:
             return self.family.max_multiplicity()
         # Counted per level: d_profile would be as long as the largest cost.
         return float(max(Counter(map(_cost_level, self.costs)).values()))
-
-    def count_at_most(self, threshold: float) -> int:
-        """Number of letters with cost <= threshold (finite for convergent specs)."""
-        if self.costs is not None:
-            return sum(1 for c in self.costs if c <= threshold + 1e-12)
-        n = 0
-        for j, d in self.family.levels():
-            if j > threshold + 1e-12:
-                break
-            n += d
-        return n
 
     # -- normalization --------------------------------------------------
 
@@ -512,6 +457,14 @@ def _fmt(x: float) -> str:
 # DSL
 # ---------------------------------------------------------------------------
 
+_NAMED_SPECS = {
+    "telegraph": telegraph,
+    "linear": linear,
+    "fib": fibonacci,
+    "balanced": balanced_words,
+}
+
+
 def parse_cost_spec(text: str) -> CostSpec:
     """Parse the cost DSL used by the CLI.
 
@@ -548,25 +501,10 @@ def parse_cost_spec(text: str) -> CostSpec:
             raise CostSpecError("rll needs 1 <= a < b")
         return finite_list(range(a, b + 1), label=s).normalize()
 
-    if head == "telegraph":
+    if head in _NAMED_SPECS:
         if sep:
-            raise CostSpecError("telegraph takes no parameters")
-        return telegraph()
-
-    if head == "linear":
-        if sep:
-            raise CostSpecError("linear takes no parameters")
-        return linear()
-
-    if head == "fib":
-        if sep:
-            raise CostSpecError("fib takes no parameters")
-        return fibonacci()
-
-    if head == "balanced":
-        if sep:
-            raise CostSpecError("balanced takes no parameters")
-        return balanced_words()
+            raise CostSpecError(f"{head} takes no parameters")
+        return _NAMED_SPECS[head]()
 
     if head == "repeat":
         parts = _parse_floats(rest, "repeat")
@@ -631,7 +569,8 @@ def char_root(spec: CostSpec, tol: float = _DEFAULT_ROOT_TOL) -> CharRoot:
 
     Built-in profile families use exact algebraic roots; finite lists and
     custom profiles use doubling to bracket the decreasing characteristic sum
-    followed by bisection to `tol`.
+    followed by bisection to `tol`.  Those have at least 2 letters or an
+    infinite tail, so the sum exceeds 1 as c -> 0 and a root always exists.
     """
     if tol <= 0.0:
         raise CostSpecError("tolerance must be positive")
@@ -643,10 +582,6 @@ def char_root(spec: CostSpec, tol: float = _DEFAULT_ROOT_TOL) -> CharRoot:
         value = closed
         tolerance = 1e-15
     else:
-        if spec.family is not None and spec.family.sup_char_sum() < 1.0:
-            raise NoRootError(
-                "characteristic sum stays below 1 over its convergence region"
-            )
         lo = 0.0
         hi = 1.0
         doublings = 0
@@ -667,19 +602,12 @@ def char_root(spec: CostSpec, tol: float = _DEFAULT_ROOT_TOL) -> CharRoot:
         value = 0.5 * (lo + hi)
         tolerance = 0.5 * (hi - lo)
 
-    residual = abs(spec.char_sum(value) - 1.0)
-    z = 2.0 ** (-value)
-    if spec.is_finite_alphabet:
-        tail_ok = True
-    else:
-        tail_ok = spec.family.tail_convergent_at(z)
-    beta = _beta_value(spec, value)
     return CharRoot(
         value=value,
         tolerance=tolerance,
-        residual=residual,
-        beta=beta,
-        tail_convergent=tail_ok,
+        residual=abs(spec.char_sum(value) - 1.0),
+        beta=_beta_value(spec, value),
+        tail_convergent=math.isfinite(spec.weighted_sum(value)),
     )
 
 
@@ -718,44 +646,6 @@ def _beta_value(spec: CostSpec, c: float) -> float:
         if d and r > best:
             best = r
     return best
-
-
-def tail_sum_g(spec: CostSpec, root: CharRoot | float, from_index: int) -> float:
-    """g(x) = sum_{m >= x} c_m * 2^(-c*c_m), certified to 1e-12.
-
-    Finite alphabets sum exactly (0 past the last letter).  Infinite profiles
-    split the sum at the level of letter x: the remainder of that level in
-    closed count form plus the family's certified tail of later levels.
-    Raises DivergentTailError when the series does not converge at the root.
-    """
-    if from_index < 1:
-        raise CostSpecError("tail index must be >= 1")
-    c = root.value if isinstance(root, CharRoot) else float(root)
-    z = 2.0 ** (-c)
-    if spec.costs is not None:
-        return math.fsum(
-            ci * 2.0 ** (-c * ci) for ci in spec.costs[from_index - 1:]
-        )
-    fam = spec.family
-    if spec.is_finite_alphabet:
-        terms = []
-        seen = 0
-        for j, d in fam.levels():
-            lo = seen + 1
-            seen += d
-            count = seen - max(lo, from_index) + 1
-            if count > 0:
-                terms.append(count * j * z ** j)
-        return math.fsum(terms)
-    if not fam.tail_convergent_at(z):
-        raise DivergentTailError("cost-weighted tail diverges at the root")
-    seen = 0
-    for j, d in fam.levels():
-        seen += d
-        if seen >= from_index:
-            break
-    remainder_in_level = seen - from_index + 1
-    return remainder_in_level * j * z ** j + fam.weighted_tail_after(j, z)
 
 
 # ---------------------------------------------------------------------------

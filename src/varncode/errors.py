@@ -26,12 +26,6 @@ class ProbInputError(VarncodeError):
     exit_code = 2
 
 
-class NoRootError(VarncodeError):
-    """The characteristic sum stays below 1 over its whole convergence region."""
-
-    reason = "no_root"
-
-
 class DivergentSpecError(VarncodeError):
     """The characteristic sum diverges everywhere it was asked to be evaluated."""
 

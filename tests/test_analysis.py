@@ -19,6 +19,7 @@ from varncode import (
     beta_bound,
     build_code,
     char_root,
+    custom_profile,
     entropy,
     fibonacci,
     finite_list,
@@ -220,6 +221,20 @@ def test_approx_bound_finite_stops_at_max_cost():
     assert ab.tail_value == 0.0
 
 
+def test_approx_bound_epsilon_below_the_tail_resolution():
+    """The walk knows a tail to about 2^-40 of the weighted sum: a smaller
+    epsilon/6 is refused on an infinite alphabet, and on a finite one takes
+    the last level, whose tail is exactly 0."""
+    for spec in (linear(), fibonacci(), custom_profile([1, 1], tail="repeat")):
+        root = char_root(spec)
+        assert approx_bound(spec, root, 1e-10).tail_value <= 1e-10 / 6.0
+        with pytest.raises(ValueError, match="epsilon must be at least"):
+            approx_bound(spec, root, 1e-13)
+    spec = finite_list([1.0, 2.0, 3.0])
+    ab = approx_bound(spec, char_root(spec), 1e-300)
+    assert (ab.cost_threshold, ab.index_threshold, ab.tail_value) == (3.0, 3, 0.0)
+
+
 def test_approx_bound_divergent_tail():
     spec = balanced_words()
     root = char_root(spec)
@@ -304,12 +319,13 @@ def test_report_epsilon_row():
 
 def test_report_row_whose_value_overflows_does_not_apply():
     """c = 2 and c_t = 1e308: c*c_t is inf on a finite alphabet, so the two
-    rows built on it read n/a rather than an applicable inf."""
+    rows built on it read n/a (overflow) rather than an applicable inf."""
     rep, _, root = build_and_report((0.5, 0.3, 0.2), "finite:1,1,1,1,1e308")
     assert root.value == pytest.approx(2.0)
     for name in (BOUND_REFERENCE, BOUND_MAX_COST):
         assert rep.bound(name).value is None
         assert not rep.bound(name).applicable
+        assert rep.bound(name).reason == "overflow"
     assert all(b.applicable for b in rep.bounds[2:5])
 
 

@@ -433,7 +433,6 @@ def test_exit_oracle_errors(capsys):
 ERROR_MAPPING = {
     "CostSpecError": ("parse", 2),
     "ProbInputError": ("parse", 2),
-    "NoRootError": ("no_root", 3),
     "DivergentSpecError": ("divergent_spec", 3),
     "DivergentTailError": ("divergent_tail", 3),
     "BinUnderflowError": ("bin_underflow", 3),

@@ -7,8 +7,6 @@ import pytest
 
 from varncode import (
     CostSpecError,
-    DivergentTailError,
-    NoRootError,
     balanced_words,
     char_root,
     custom_profile,
@@ -17,16 +15,9 @@ from varncode import (
     linear,
     parse_cost_spec,
     repeat,
-    tail_sum_g,
     telegraph,
 )
-from varncode.costs import (
-    _TAIL_TOL,
-    CostSpec,
-    CustomProfileFamily,
-    ProfileFamily,
-    _geom_weighted_tail,
-)
+from varncode.costs import CostSpec, CustomProfileFamily
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -181,34 +172,6 @@ def test_root_tolerance_argument():
     assert tight.tolerance <= 1e-12
 
 
-class _ShyFamily(ProfileFamily):
-    """Characteristic sum capped below 1: no root exists."""
-
-    def multiplicity(self, j):
-        return 1 if j == 1 else 0
-
-    def char_sum_z(self, z):
-        return min(0.3, z)
-
-    def sup_char_sum(self):
-        return 0.3
-
-    def max_multiplicity(self):
-        return 1.0
-
-    def tail_convergent_at(self, z):
-        return True
-
-    def weighted_tail_after(self, level, z):
-        return 0.0
-
-
-def test_no_root_raised_for_deficient_family():
-    spec = CostSpec(family=_ShyFamily(), label="shy")
-    with pytest.raises(NoRootError):
-        char_root(spec)
-
-
 # ---------------------------------------------------------------------------
 # beta
 # ---------------------------------------------------------------------------
@@ -326,94 +289,53 @@ def test_tail_sum_linear():
     spec = linear()
     root = char_root(spec)
     # sum_j j * 2^(-j) = 2
-    assert abs(tail_sum_g(spec, root, 1) - 2.0) < 1e-12
-    direct = sum(j * 0.5 ** j for j in range(5, 200))
-    assert abs(tail_sum_g(spec, root, 5) - direct) < 1e-12
+    assert abs(spec.weighted_sum(root.value) - 2.0) < 1e-12
+    z = 0.3
+    direct = math.fsum(4 * j * z ** j for j in range(1, 400))
+    assert abs(repeat(4).family.weighted_sum_z(z) - direct) < 1e-12
 
 
 def test_tail_sum_fibonacci_total():
     spec = fibonacci()
     root = char_root(spec)
-    assert abs(tail_sum_g(spec, root, 1) - 2.0 * math.sqrt(2.0)) < 1e-9
+    assert abs(spec.weighted_sum(root.value) - 2.0 * math.sqrt(2.0)) < 1e-9
 
 
 def test_tail_sum_matches_direct_summation():
-    rng = random.Random(11)
-    fib = fibonacci()
-    fib_root = char_root(fib)
-    z = 2.0 ** (-fib_root.value)
-    d = fib.d_profile(160)
-    for _ in range(20):
-        start = rng.randint(1, 40)
-        direct = 0.0
-        seen = 0
-        for j, dj in enumerate(d, start=1):
-            lo = seen + 1
-            seen += dj
-            count = seen - max(lo, start) + 1
-            if count > 0:
-                direct += count * j * z ** j
-        assert abs(tail_sum_g(fib, fib_root, start) - direct) < 1e-9
+    """Each closed-form z*S'(z) matches sum_j j*d_j*z^j summed term by term."""
+    for spec, radius in ((fibonacci(), 1.0 / PHI), (balanced_words(), 0.5),
+                         (repeat(2), 1.0),
+                         (custom_profile([2, 0, 1], tail="repeat"), 1.0)):
+        d = spec.d_profile(600)
+        for k in range(1, 31):
+            z = 0.9 * radius * k / 30
+            direct = math.fsum(j * dj * z ** j for j, dj in enumerate(d, start=1))
+            assert spec.family.weighted_sum_z(z) == pytest.approx(
+                direct, rel=1e-12, abs=1e-15)
 
 
 def test_tail_sum_finite_specs():
     spec = finite_list([1.0, 2.0, 3.0])
     root = char_root(spec)
     c = root.value
-    expect = 2.0 * 2.0 ** (-2 * c) + 3.0 * 2.0 ** (-3 * c)
-    assert abs(tail_sum_g(spec, root, 2) - expect) < 1e-12
-    assert tail_sum_g(spec, root, 4) == 0.0
-    with pytest.raises(CostSpecError):
-        tail_sum_g(spec, root, 0)
-
-
-def _fib_tail_reference(fam, level, z):
-    """FibonacciFamily.weighted_tail_after's loop before the shared helper."""
-    r = PHI * z
-    terms = []
-    j = level
-    while True:
-        j += 1
-        bound = _geom_weighted_tail(r, j - 1) / PHI
-        if bound <= 0.5 * _TAIL_TOL:
-            break
-        terms.append(j * fam.multiplicity(j) * z ** j)
-    return math.fsum(terms)
-
-
-def _balanced_tail_reference(fam, level, z):
-    """BalancedWordsFamily.weighted_tail_after's loop before the shared helper."""
-    r = 2.0 * z
-    terms = []
-    j = level
-    while True:
-        j += 1
-        bound = 0.5 * _geom_weighted_tail(r, j - 1)
-        if bound <= 0.5 * _TAIL_TOL:
-            break
-        d = fam.multiplicity(j)
-        if d:
-            terms.append(j * d * z ** j)
-    return math.fsum(terms)
-
-
-@pytest.mark.parametrize("spec,radius,reference", [
-    (fibonacci(), 1.0 / PHI, _fib_tail_reference),
-    (balanced_words(), 0.5, _balanced_tail_reference),
-])
-def test_dominated_tail_matches_the_per_family_loops(spec, radius, reference):
-    fam = spec.family
-    for k in range(1, 61):
-        z = 0.9 * radius * k / 60
-        for level in range(61):
-            assert fam.weighted_tail_after(level, z) == reference(fam, level, z)
+    expect = 2.0 ** (-c) + 2.0 * 2.0 ** (-2 * c) + 3.0 * 2.0 ** (-3 * c)
+    assert abs(spec.weighted_sum(c) - expect) < 1e-12
+    prof = custom_profile([1, 0, 2], tail="zero")
+    z = 0.7
+    assert prof.family.weighted_sum_z(z) == math.fsum([z, 6 * z ** 3])
+    # A finite alphabet's weighted sum converges for every z.
+    assert math.isfinite(prof.family.weighted_sum_z(2.0))
+    assert char_root(prof).tail_convergent
 
 
 def test_tail_sum_divergent_at_root():
     spec = balanced_words()
     root = char_root(spec)
-    with pytest.raises(DivergentTailError):
-        tail_sum_g(spec, root, 1)
+    assert spec.weighted_sum(root.value) == math.inf
+    assert not root.tail_convergent
+    for spec, radius in ((fibonacci(), 1.0 / PHI), (repeat(3), 1.0),
+                         (custom_profile([1, 1], tail="repeat"), 1.0)):
+        assert spec.family.weighted_sum_z(1.01 * radius) == math.inf
 
 
 # ---------------------------------------------------------------------------

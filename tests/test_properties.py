@@ -3,7 +3,8 @@
 Any spec and vector either build a prefix-free code within the Kraft bound
 or raise BinUnderflowError; split_trace describes exactly the tree it was
 derived from; every bound row the report applies holds, and the cost and
-entropy decompositions add up; and the CLI maps any JSON array in a --probs
+entropy decompositions add up; approx_bound stops at the first cost level
+whose weighted tail fits; and the CLI maps any JSON array in a --probs
 file to a documented exit code.  Examples come from a fixed seed, so the
 suite is reproducible.
 """
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from varncode import (
     BOUND_REFERENCE,
     BinUnderflowError,
+    approx_bound,
     build_code,
     char_root,
     parse_cost_spec,
@@ -44,6 +46,9 @@ def _has_two_letters(levels, tail):
 
 finite_specs = st.lists(st.floats(1.0, 20.0), min_size=2, max_size=6).map(
     lambda costs: "finite:" + ",".join(map(repr, costs)))
+# Few distinct costs, so letters share levels.
+tied_finite_specs = st.lists(st.integers(1, 6), min_size=2, max_size=8).map(
+    lambda costs: "finite:" + ",".join(map(str, costs)))
 profile_specs = st.tuples(
     st.lists(st.integers(0, 3), min_size=1, max_size=5),
     st.sampled_from(("zero", "repeat")),
@@ -139,6 +144,51 @@ def test_applicable_bounds_hold_and_decompositions_add_up(spec_text, weights,
     assert abs(tree.cost_decomposition() - rep.cost) <= 1e-9 * max(1.0, rep.cost)
     assert (abs(tree.entropy_decomposition() - rep.entropy)
             <= 1e-9 * max(1.0, rep.entropy))
+
+
+def _letter_levels(spec):
+    """(cost, count) per level, read off the DSL's costs or multiplicities.
+
+    A finite list's level starts at a cost and takes every cost at most
+    1e-12 above it.  A repeat tail is cut where its terms are far below
+    any tolerance asserted here.
+    """
+    if spec.costs is None:
+        return [(float(j), d) for j, d in enumerate(spec.d_profile(3000), start=1)
+                if d]
+    levels = []
+    for ci in spec.costs:
+        if levels and ci <= levels[-1][0] + 1e-12:
+            levels[-1][1] += 1
+        else:
+            levels.append([ci, 1])
+    return [tuple(level) for level in levels]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec_text=st.one_of(finite_specs, tied_finite_specs, profile_specs),
+       epsilon=st.sampled_from((0.5, 0.1, 0.01)))
+def test_approx_threshold_is_the_first_level_whose_tail_fits(spec_text, epsilon):
+    spec = parse_cost_spec(spec_text)
+    root = char_root(spec)
+    c = root.value
+    ab = approx_bound(spec, root, epsilon)
+    target = epsilon / 6.0
+    levels = _letter_levels(spec)
+
+    def tail_after(N):
+        return math.fsum(d * cost * 2.0 ** (-c * cost)
+                         for cost, d in levels if cost > N + 1e-12)
+
+    N = ab.cost_threshold
+    candidates = [0.0] + [cost for cost, _ in levels]
+    assert N in candidates
+    assert tail_after(N) <= target + 1e-12
+    assert all(tail_after(M) > target - 1e-12 for M in candidates if M < N)
+    assert ab.tail_value == pytest.approx(tail_after(N), abs=1e-12)
+    assert ab.index_threshold == sum(d for cost, d in levels if cost <= N + 1e-12)
+    if spec.is_finite_alphabet and N == levels[-1][0]:
+        assert ab.tail_value == 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="one symbol: "

@@ -30,7 +30,8 @@ INPUTS = (
     ("--gen", "zipf:1.0,40"), ("--gen", "geom:0.3,12"),
 )
 FORMATS = (("--format", "text"), ("--format", "json"))
-EPSILONS = ((), ("--epsilon", "0.25"), ("--epsilon", "0.5"), ("--epsilon", "0.7"))
+EPSILONS = ((), ("--epsilon", "0.25"), ("--epsilon", "0.5"), ("--epsilon", "0.7"),
+            ("--epsilon", "0.05"), ("--epsilon", "0.01"))
 SMALL_INPUTS = INPUTS[:5]
 PARSE_ERRORS = (
     ("root", "--costs", "finite:1"),
