@@ -25,10 +25,6 @@ BOUND_SIZE = "Thm_tbound"
 BOUND_MULTIPLICITY = "Lem_Kbound"
 BOUND_APPROX_PREFIX = "Thm_approx"
 
-# approx_bound's tails, the weighted sum minus the levels passed, are good to
-# this fraction of the sum: rounding of the closed form and of each level.
-_TAIL_RESOLUTION = 2.0 ** -40
-
 
 def entropy(probs) -> float:
     """Shannon entropy in bits; 0*log(0) taken as 0."""
@@ -107,15 +103,11 @@ class ApproxBound:
 def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
     """Compute N_eps in one walk up the cost levels and assemble f(C, eps).
 
-    The tail at N sums c_m * 2^(-c*c_m) over letters costing more than N: the
-    alphabet's weighted sum minus the levels passed so far, and exactly 0
-    once a finite alphabet's last level is passed.  The walk stops at the
-    first N (0 or a level's cost) whose tail is at most epsilon/6, having
-    counted the letters costing at most N on the way.
-
-    That difference is good to about 2^-40 of the weighted sum, so a smaller
-    epsilon/6 is refused (ValueError) on an infinite alphabet, and on a
-    finite one takes the last level, the one N whose tail is known exactly.
+    The tail at N sums c_m * 2^(-c*c_m) over letters costing more than N,
+    each in closed form (a finite list sums its remaining costs), so it is
+    exact at any epsilon and exactly 0 past a finite alphabet's last level.
+    The walk stops at the first N (0 or a level's cost) whose tail is at
+    most epsilon/6, having counted the letters costing at most N on the way.
     """
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
@@ -125,23 +117,13 @@ def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
         )
     c = root.value
     target = epsilon / 6.0
-    size = spec.alphabet_size
-    total = spec.weighted_sum(c)
-    if target < total * _TAIL_RESOLUTION:
-        if size == math.inf:
-            raise ValueError(
-                f"epsilon must be at least {6.0 * total * _TAIL_RESOLUTION:.3g}"
-                f" for {spec.label}: the weighted tail is not resolved finer"
-            )
-        target = -math.inf
-    threshold, count, passed, tail = 0.0, 0, 0.0, total
+    threshold, count, tail = 0.0, 0, spec.weighted_sum(c)
     for cost, d in spec.levels():
         if tail <= target:
             break
         threshold = cost
         count += d
-        passed += d * cost * 2.0 ** (-c * cost)
-        tail = total - passed if count < size else 0.0
+        tail = spec.weighted_sum(c, above=cost)
     f_value = (4.0 / 3.0) * (2.0 / c + spec.second_cost_gap + threshold)
     return ApproxBound(
         epsilon=epsilon,

@@ -47,9 +47,10 @@ class ProfileFamily:
 
     Subclasses supply the analytic facts the rest of the package needs:
     multiplicities, the characteristic sum S(z) = sum_j d_j z^j and the
-    weighted sum z*S'(z) = sum_j j*d_j*z^j as functions of z = 2^(-c) (each
-    math.inf where its series diverges), an exact root when one is known,
-    and the largest multiplicity K (or infinity).
+    weighted sum z*S'(z) = sum_j j*d_j*z^j with its tails past each level as
+    functions of z = 2^(-c) (each math.inf where its series diverges), an
+    exact root when one is known, and the largest multiplicity K (or
+    infinity).
     """
 
     def multiplicity(self, j: int) -> int:
@@ -63,8 +64,8 @@ class ProfileFamily:
         """sum_j d_j z^j, or math.inf where the series diverges."""
         raise NotImplementedError
 
-    def weighted_sum_z(self, z: float) -> float:
-        """sum_j j d_j z^j, or math.inf where the series diverges."""
+    def weighted_sum_z(self, z: float, above: int = 0) -> float:
+        """sum_{j > above} j d_j z^j, or math.inf where the series diverges."""
         raise NotImplementedError
 
     def closed_root(self) -> float | None:
@@ -123,10 +124,10 @@ class RepeatFamily(ProfileFamily):
             return math.inf
         return self.d * z / (1.0 - z)
 
-    def weighted_sum_z(self, z):
+    def weighted_sum_z(self, z, above=0):
         if z >= 1.0:
             return math.inf
-        return self.d * z / (1.0 - z) ** 2
+        return self.d * _geom_weighted_tail(z, above)
 
     def closed_root(self):
         # d*z/(1-z) = 1 at z = 1/(d+1).
@@ -134,6 +135,10 @@ class RepeatFamily(ProfileFamily):
 
     def max_multiplicity(self):
         return float(self.d)
+
+
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_PSI = -1.0 / _PHI
 
 
 class FibonacciFamily(ProfileFamily):
@@ -156,11 +161,12 @@ class FibonacciFamily(ProfileFamily):
             return math.inf
         return z / den
 
-    def weighted_sum_z(self, z):
-        den = 1.0 - z - z * z
-        if den <= 0.0:
+    def weighted_sum_z(self, z, above=0):
+        if _PHI * z >= 1.0:
             return math.inf
-        return z * (1.0 + z * z) / (den * den)
+        # F_j = (phi^j - psi^j)/sqrt(5) splits the sum into two geometric ones.
+        return (_geom_weighted_tail(_PHI * z, above)
+                - _geom_weighted_tail(_PSI * z, above)) / math.sqrt(5.0)
 
     def closed_root(self):
         # z/(1-z-z^2) = 1 at z = sqrt(2) - 1.
@@ -187,12 +193,17 @@ class BalancedWordsFamily(ProfileFamily):
             return math.inf
         return 1.0 - math.sqrt(1.0 - x)
 
-    def weighted_sum_z(self, z):
+    def weighted_sum_z(self, z, above=0):
         # z * d/dz (1 - sqrt(1 - 4z^2)); infinite slope at z = 1/2.
         x = 4.0 * z * z
         if x >= 1.0:
             return math.inf
-        return x / math.sqrt(1.0 - x)
+        # No closed form past a level, so the head is subtracted.  That loses
+        # precision on deep tails, but approx_bound never reads one: at this
+        # family's root z = 1/2 the sum is infinite.
+        head = math.fsum(j * self.multiplicity(j) * z ** j
+                         for j in range(2, above + 1, 2))
+        return max(x / math.sqrt(1.0 - x) - head, 0.0)
 
     def closed_root(self):
         # The characteristic sum reaches 1 exactly at the convergence boundary
@@ -239,15 +250,16 @@ class CustomProfileFamily(ProfileFamily):
         J = len(self.prefix)
         return base + self.prefix[-1] * z ** (J + 1) / (1.0 - z)
 
-    def weighted_sum_z(self, z):
-        base = math.fsum(
-            j * d * z ** j for j, d in enumerate(self.prefix, start=1)
+    def weighted_sum_z(self, z, above=0):
+        J = len(self.prefix)
+        head = math.fsum(
+            j * self.prefix[j - 1] * z ** j for j in range(above + 1, J + 1)
         )
         if not self.repeats:
-            return base
+            return head
         if z >= 1.0:
             return math.inf
-        return base + self.prefix[-1] * _geom_weighted_tail(z, len(self.prefix))
+        return head + self.prefix[-1] * _geom_weighted_tail(z, max(above, J))
 
     def total_letters(self):
         return math.inf if self.repeats else float(sum(self.prefix))
@@ -343,11 +355,16 @@ class CostSpec:
             return math.fsum(2.0 ** (-c * ci) for ci in self.costs)
         return self.family.char_sum_z(2.0 ** (-c))
 
-    def weighted_sum(self, c: float) -> float:
-        """sum_i c_i 2^(-c*c_i); math.inf where the series diverges."""
+    def weighted_sum(self, c: float, above: float = 0.0) -> float:
+        """sum c_i 2^(-c*c_i) over the letters costing more than `above`.
+
+        `above` is 0 (every letter) or a level's cost from levels(), so the
+        sum is the tail past that level.  math.inf where the series diverges.
+        """
         if self.costs is not None:
-            return math.fsum(ci * 2.0 ** (-c * ci) for ci in self.costs)
-        return self.family.weighted_sum_z(2.0 ** (-c))
+            start = bisect_right(self.costs, above + 1e-12)
+            return math.fsum(ci * 2.0 ** (-c * ci) for ci in self.costs[start:])
+        return self.family.weighted_sum_z(2.0 ** (-c), int(above))
 
     def levels(self):
         """(cost, count) for each cost level with letters, cheapest first.

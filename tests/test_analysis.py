@@ -221,18 +221,30 @@ def test_approx_bound_finite_stops_at_max_cost():
     assert ab.tail_value == 0.0
 
 
-def test_approx_bound_epsilon_below_the_tail_resolution():
-    """The walk knows a tail to about 2^-40 of the weighted sum: a smaller
-    epsilon/6 is refused on an infinite alphabet, and on a finite one takes
-    the last level, whose tail is exactly 0."""
-    for spec in (linear(), fibonacci(), custom_profile([1, 1], tail="repeat")):
+def test_approx_bound_tails_are_exact_at_tiny_epsilon():
+    """Every tail is summed in closed form, so N_eps stays the first level
+    whose direct tail fits however small epsilon is, and a finite alphabet
+    stops at the level where its tail fits, not at its last letter."""
+    for text in ("linear", "repeat:3", "fib", "profile:1,1;tail=repeat"):
+        spec = parse_cost_spec(text)
         root = char_root(spec)
-        assert approx_bound(spec, root, 1e-10).tail_value <= 1e-10 / 6.0
-        with pytest.raises(ValueError, match="epsilon must be at least"):
-            approx_bound(spec, root, 1e-13)
-    spec = finite_list([1.0, 2.0, 3.0])
-    ab = approx_bound(spec, char_root(spec), 1e-300)
-    assert (ab.cost_threshold, ab.index_threshold, ab.tail_value) == (3.0, 3, 0.0)
+        z = 2.0 ** (-root.value)
+        d = spec.d_profile(1200)
+
+        def tail_after(N):
+            return math.fsum(j * dj * z ** j
+                             for j, dj in enumerate(d, start=1) if j > N)
+
+        for eps in (1e-12, 1e-15, 1e-100):
+            ab = approx_bound(spec, root, eps)
+            N = int(ab.cost_threshold)
+            assert tail_after(N) <= eps / 6.0
+            assert tail_after(N - 1) > eps / 6.0
+            assert ab.tail_value == pytest.approx(tail_after(N), rel=1e-12)
+    spec = parse_cost_spec("finite:1,2,1000")
+    ab = approx_bound(spec, char_root(spec), 1e-12)
+    assert (ab.cost_threshold, ab.index_threshold) == (2.0, 2)
+    assert 0.0 < ab.tail_value < 1e-200
 
 
 def test_approx_bound_divergent_tail():

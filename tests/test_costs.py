@@ -302,16 +302,19 @@ def test_tail_sum_fibonacci_total():
 
 
 def test_tail_sum_matches_direct_summation():
-    """Each closed-form z*S'(z) matches sum_j j*d_j*z^j summed term by term."""
+    """Each closed-form z*S'(z), and its tail past a level, matches
+    sum_{j > above} j*d_j*z^j summed term by term."""
     for spec, radius in ((fibonacci(), 1.0 / PHI), (balanced_words(), 0.5),
                          (repeat(2), 1.0),
                          (custom_profile([2, 0, 1], tail="repeat"), 1.0)):
         d = spec.d_profile(600)
         for k in range(1, 31):
             z = 0.9 * radius * k / 30
-            direct = math.fsum(j * dj * z ** j for j, dj in enumerate(d, start=1))
-            assert spec.family.weighted_sum_z(z) == pytest.approx(
-                direct, rel=1e-12, abs=1e-15)
+            for above in (0, 1, 2, 3, 7, 20):
+                direct = math.fsum(j * dj * z ** j
+                                   for j, dj in enumerate(d, start=1) if j > above)
+                assert spec.family.weighted_sum_z(z, above) == pytest.approx(
+                    direct, rel=1e-12, abs=1e-15)
 
 
 def test_tail_sum_finite_specs():
@@ -320,9 +323,13 @@ def test_tail_sum_finite_specs():
     c = root.value
     expect = 2.0 ** (-c) + 2.0 * 2.0 ** (-2 * c) + 3.0 * 2.0 ** (-3 * c)
     assert abs(spec.weighted_sum(c) - expect) < 1e-12
+    assert spec.weighted_sum(c, above=2.0) == 3.0 * 2.0 ** (-3 * c)
+    assert spec.weighted_sum(c, above=3.0) == 0.0
     prof = custom_profile([1, 0, 2], tail="zero")
     z = 0.7
     assert prof.family.weighted_sum_z(z) == math.fsum([z, 6 * z ** 3])
+    assert prof.family.weighted_sum_z(z, 1) == 6 * z ** 3
+    assert prof.family.weighted_sum_z(z, 3) == 0.0
     # A finite alphabet's weighted sum converges for every z.
     assert math.isfinite(prof.family.weighted_sum_z(2.0))
     assert char_root(prof).tail_convergent
