@@ -2,7 +2,7 @@
 
 Subcommands: root (characteristic root), code (build + codewords + report),
 bounds (report only), oracle (exact small-instance optimum), compare (coder
-vs oracle), bench (timing CSV).  Exit codes: 0 ok, 2 parse/input error,
+vs oracle), bench (build-time CSV or per-layer timing JSON).  Exit codes: 0 ok, 2 parse/input error,
 3 numeric error (divergence, underflow), 4 oracle limits, 5 audit
 violation.
 """
@@ -10,8 +10,13 @@ violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import platform
+import subprocess
 import sys
 import time
 
@@ -315,21 +320,74 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
+def _median_seconds(fn, repeats: int):
+    """Median wall time of fn() over `repeats` calls, and its last result."""
+    times = []
+    out = None
+    for _ in range(max(1, repeats)):
+        out = None  # free the last result before making the next
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return sorted(times)[len(times) // 2], out
+
+
+def _commit() -> str | None:
+    """The source checkout's commit, marked -dirty if it has changes."""
+    try:
+        run = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                             cwd=os.path.dirname(os.path.abspath(__file__)),
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return run.stdout.strip()
+
+
+def _bench_layers(spec_text: str, dist: str, n: int, args) -> dict:
+    """Seconds per layer of `code --format text`, each timed on its own."""
+    def parse_root():
+        spec = parse_cost_spec(spec_text)
+        return spec, char_root(spec, tol=args.tol)
+
+    def emit():
+        with contextlib.redirect_stdout(io.StringIO()):
+            _write_joined(lines, "\n")
+
+    probs = make_probs(dist, n, args.seed)
+    seconds = {}
+    seconds["parse_root"], (spec, root) = _median_seconds(parse_root, args.repeats)
+    seconds["prepare"], pin = _median_seconds(lambda: prepare(probs), args.repeats)
+    seconds["build_code"], tree = _median_seconds(lambda: build_code(pin, spec, root),
+                                                  args.repeats)
+    seconds["report"], rep = _median_seconds(lambda: report(tree), args.repeats)
+    seconds["codeword_lines"], lines = _median_seconds(tree.codeword_lines, args.repeats)
+    seconds["emit"], _ = _median_seconds(emit, args.repeats)
+    return {"costs": spec_text, "dist": dist, "n": n, "cost": rep.cost,
+            "seconds": seconds}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    spec = parse_cost_spec(args.costs)
+    if args.fmt == "json":
+        emit_json({
+            "commit": _commit(),
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "repeats": max(1, args.repeats),
+            "seed": args.seed,
+            "statistic": "median",
+            "rows": [_bench_layers(spec_text, dist, n, args)
+                     for spec_text in args.costs for dist in args.dist for n in sizes],
+        })
+        return EXIT_OK
+    if len(args.costs) > 1 or len(args.dist) > 1:
+        raise ValueError("csv output takes one --costs and one --dist")
+    spec = parse_cost_spec(args.costs[0])
     root = char_root(spec, tol=args.tol)
     rows = []
     for n in sizes:
-        probs = make_probs(args.dist, n, args.seed)
-        pin = prepare(probs)
-        times = []
-        tree = None
-        for _ in range(max(1, args.repeats)):
-            t0 = time.perf_counter()
-            tree = build_code(pin, spec, root)
-            times.append(time.perf_counter() - t0)
-        seconds = sorted(times)[len(times) // 2]
+        pin = prepare(make_probs(args.dist[0], n, args.seed))
+        seconds, tree = _median_seconds(lambda: build_code(pin, spec, root), args.repeats)
         rep = report(tree)
         rows.append((n, seconds, rep.cost, rep.nr, rep.min_applicable()))
     print("n,seconds,cost,nr")
@@ -430,13 +488,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--epsilon", type=float, default=None)
 
-    p = sub.add_parser("bench", help="build-time CSV over instance sizes")
+    p = sub.add_parser("bench", help="build-time CSV, or per-layer JSON, over "
+                       "instance sizes")
     p.set_defaults(run=cmd_bench)
-    _add_costs(p)
+    p.add_argument("--costs", required=True, nargs="+", metavar="SPEC",
+                   help="cost specs (JSON output takes several)")
     p.add_argument("--sizes", default="1000,10000,100000,1000000",
                    help="comma-separated instance sizes")
-    p.add_argument("--dist", default="zipf:1.0",
-                   help="distribution family: uniform | zipf:S | geom:Q | dyadic")
+    p.add_argument("--dist", default=["zipf:1.0"], nargs="+",
+                   help="distribution families: uniform | zipf:S | geom:Q | dyadic "
+                        "(JSON output takes several)")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv",
+                   help="csv: build seconds per size; json: seconds per layer")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-12)

@@ -9,9 +9,16 @@ everything falls in bin 1 the last item moves to bin 2 (right shift) so every
 internal node branches.  Bins are materialized lazily, so infinite alphabets
 cost nothing extra.
 
-That per-block rule is one kernel, `_split`: `build_code` calls it to grow
-the tree, and `split_trace` calls it again over a finished tree's internal
-nodes to report each split's bins and shifts.
+`build_code` grows the tree breadth first, one level at a time, and numbers
+the nodes in level order, each node's children in ascending letter order.
+The per-block rule is one kernel, `_split`.  A level holding fewer than
+`_VECTOR_SLOTS` slots runs it block by block; a larger level splits all its
+blocks at once in numpy, with the same floats and so the same nodes.  The
+scalar path exists because numpy's per-call overhead dominates small levels:
+an n <= 10 build takes a median of 36 us through it and 650 us through numpy.
+Zero-width blocks split in closed form, and a level left with nothing else
+finishes their chains in one step.  `split_trace` reruns `_split` over a
+finished tree's internal nodes to report each split's bins and shifts.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,14 +119,15 @@ def prepare(probs, normalize: bool = False) -> ProbInput:
 class CodeTree:
     """Built prefix-free code in compact array form.
 
-    Nodes are indexed 0..num_nodes-1 with the root at 0; parents precede
-    children.  Leaves carry the sorted probability slot they encode; edge
-    letters are 1-based letter indices (0 on the root).  The per-node arrays
-    are numpy views of the builder's buffers.
+    Nodes are indexed 0..num_nodes-1 in level order with the root at 0, so
+    parents precede children.  Leaves carry the sorted probability slot they
+    encode; edge letters are 1-based letter indices (0 on the root).  The
+    per-node arrays are numpy views of the builder's buffers, and `stats`
+    holds the build's counters.
     """
 
     def __init__(self, spec, root, pinput, parent, letter, weight, leaf,
-                 word_cost, table):
+                 word_cost, table, stats):
         self.spec: CostSpec = spec
         self.root: CharRoot = root
         self.input: ProbInput = pinput
@@ -128,6 +137,7 @@ class CodeTree:
         self._leaf = np.frombuffer(leaf, dtype=np.int64)
         self._word_cost = np.frombuffer(word_cost, dtype=np.float64)
         self._table: LetterTable = table
+        self.stats: BuildStats = stats
         nodes = np.flatnonzero(self._leaf >= 0)
         self._leaf_node = np.empty(pinput.n, dtype=np.int64)
         self._leaf_node[self._leaf[nodes]] = nodes
@@ -269,12 +279,6 @@ class CodeTree:
         # Each word starts with the comma of its first letter.
         return [f"{i}\t{w[1:]}\t{c!r}" for i, w, c in zip(range(self.n), words, costs)]
 
-    def tree_depth(self) -> int:
-        depth = [0] * self.num_nodes
-        for v, p in enumerate(self._parent.tolist()[1:], start=1):
-            depth[v] = depth[p] + 1
-        return max(depth)
-
     def to_json(self) -> str:
         """to_dict() as compact JSON with sorted keys, written from a stack:
         json.dumps recurses per level and overflows on deep zero-mass chains."""
@@ -347,63 +351,303 @@ def _split(l, r, L, w, s, probs, cum, ensure, finite_t):
     return ranges, stole, False
 
 
+class BuildStats(NamedTuple):
+    """Deterministic counters of one build: no timings, the same on every run.
+
+    left_shifts and right_shifts count the splits that took each fixup;
+    bins_evaluated counts the bin ends L + w*cum[m] computed, on either split
+    path: the build's unit of work, a few per symbol.
+    """
+
+    nodes: int
+    internal: int
+    max_depth: int
+    left_shifts: int
+    right_shifts: int
+    max_letter: int
+    bins_evaluated: int
+
+
+# A tree level holding fewer slots than this splits its blocks one at a time
+# with `_split`: numpy's per-call overhead outweighs the loop there.  Builds
+# of n = 2..10 took a median of 36 us with the loop and 650 us (290-1140)
+# with numpy on every level, on a 2-core x86-64 VM.
+_VECTOR_SLOTS = 64
+# Candidate letters per block in a numpy level's first round; a block that
+# has not finished tries twice as many letters in the next round.
+_FIRST_BATCH = 2
+
+
+class _Walk:
+    """One breadth-first build: the node arrays, the inputs the splits read,
+    and the counters.
+
+    A level is its internal blocks left to right, as (first slot, last slot,
+    node id, word cost): numpy arrays on the vector path, a list of tuples on
+    the scalar path.  Each split appends the block's children in letter
+    order, so nodes are numbered in level order.  Vector levels come first
+    and are kept as one numpy chunk per level; the scalar levels below them
+    append to `array` buffers.
+    """
+
+    def __init__(self, pinput: ProbInput, table: LetterTable, finite_t: int):
+        self.pin = pinput
+        self.table = table
+        self.t = finite_t
+        # Memoryviews give the scalar path Python floats straight from the
+        # arrays, with no O(n) copy for the few slots below the vector levels.
+        self.views = [memoryview(x) for x in (pinput.probs, pinput.prefix, pinput.mid)]
+        # The root; every other node is some level's child.
+        self.buffers = (array("q", [-1]), array("q", [0]),
+                        array("d", [self.views[1][-1] - self.views[1][0]]),
+                        array("q", [-1]), array("d", [0.0]))
+        self.chunks = []
+        self.base = 0  # nodes in the chunks
+        self.depth = self.left_shifts = self.right_shifts = 0
+        self.max_letter = self.bins = 0
+
+    def arrays(self):
+        """parent, letter, weight, leaf and word cost of every node: the
+        root, then the vector levels' chunks, then the scalar levels."""
+        if not self.chunks:
+            return self.buffers
+        return [np.concatenate((view[:1], *chunks, view[1:]))
+                for chunks, view in zip(zip(*self.chunks),
+                                        map(np.frombuffer, self.buffers, "qqdqd"))]
+
+    def stats(self) -> BuildStats:
+        nodes = self.base + len(self.buffers[0])
+        return BuildStats(nodes, nodes - self.pin.n, self.depth, self.left_shifts,
+                          self.right_shifts, self.max_letter, self.bins)
+
+    def vector_levels(self, level: list) -> list:
+        """Split level after level in numpy while a level holds at least
+        `_VECTOR_SLOTS` slots; return the first smaller level as a list.  A
+        level's slots are its blocks' sizes, and a child level never holds
+        more than its parent."""
+        level = tuple(map(np.array, zip(*level)))
+        while len(level[0]) and int((level[1] - level[0] + 1).sum()) >= _VECTOR_SLOTS:
+            level = self.vector_level(*level)
+        return list(zip(*(x.tolist() for x in level)))
+
+    def scalar_levels(self, level: list) -> None:
+        """Split the remaining levels block by block with `_split`."""
+        probs, P, s = self.views
+        table, t = self.table, self.t
+        lcosts = table.costs
+        parent, letter, weight, leaf, word_cost = self.buffers
+        base = self.base
+        bins = lefts = rights = depth = 0
+        top = 1
+        while level:
+            nxt = []
+            for l, r, v, wc in level:
+                if l < r:
+                    ranges, stole, rshift = _split(l, r, P[l], P[r + 1] - P[l], s, probs,
+                                                   table.cum, table.ensure, t)
+                    m = 1 if rshift else ranges[-1][2]
+                    bins += m - (m == t)
+                    lefts += stole
+                    rights += rshift
+                    top = max(top, ranges[-1][2])
+                else:  # the root of a one-symbol input: its symbol gets letter 1
+                    ranges = [(l, r, 1)]
+                for a, b, m in ranges:
+                    c = wc + lcosts[m]
+                    if a == b:
+                        weight.append(probs[a])
+                        leaf.append(a)
+                    else:
+                        nxt.append((a, b, base + len(parent), c))
+                        weight.append(P[b + 1] - P[a])
+                        leaf.append(-1)
+                    parent.append(v)
+                    letter.append(m)
+                    word_cost.append(c)
+            level = nxt
+            depth += 1
+        self.bins += bins
+        self.left_shifts += lefts
+        self.right_shifts += rights
+        self.max_letter = max(self.max_letter, top)
+        self.depth += depth
+
+    def emit(self, parent, letter, a, b, word_cost):
+        """Append a level's children, given as arrays in level order, and
+        return the internal ones as the next level."""
+        pin = self.pin
+        nodes = self.base + len(self.buffers[0])
+        ids = np.arange(nodes, nodes + len(a))
+        leaf = a == b
+        weight = np.where(leaf, pin.probs[a], pin.prefix[b + 1] - pin.prefix[a])
+        self.chunks.append((parent, letter, weight, np.where(leaf, a, -1), word_cost))
+        self.base += len(a)
+        self.depth += 1
+        inner = ~leaf
+        return a[inner], b[inner], ids[inner], word_cost[inner]
+
+    def vector_level(self, l, r, v, wc):
+        """Split every block of the level at once, the way `_split` splits one.
+
+        Round by round, each unfinished block takes its next batch of
+        letters: the bin ends, one searchsorted for the last midpoint J_m in
+        each bin, and the left shift j_m = max(J_m, j_(m-1) + 1) as a running
+        maximum of J_m - m along the batch.  Zero-width blocks split in
+        closed form.
+        """
+        pin, table, t = self.pin, self.table, self.t
+        P = pin.prefix
+        L = P[l]
+        w = P[r + 1] - L
+        zero = w == 0.0
+        if zero.all():
+            return self.chains(l, r, v, wc)
+        zrow = np.flatnonzero(zero)
+        row, m, a, b, kids = _zero_width_split(l[zrow], r[zrow], t)
+        rows, letters, firsts, lasts = [zrow[row]], [m], [a], [b]
+        count = np.zeros(len(l), dtype=np.int64)  # children per block
+        count[zrow] = kids
+        jprev = l - 1  # each block's last slot already given to a letter
+        prevR = L.copy()
+        stole = zero.copy()  # a zero-width split is a run of left shifts
+        active = np.flatnonzero(~zero)
+        m0, K = 0, _FIRST_BATCH
+        while active.size:
+            ra = r[active]
+            jp = jprev[active]
+            # No block needs more letters than it has slots left.
+            K = min(K, int((ra - jp).max()), t - m0 if t else K)
+            cum = table.arrays(m0 + K)[1][m0 + 1:m0 + K + 1]
+            R = L[active, None] + w[active, None] * cum
+            self.bins += R.size
+            J = np.minimum(np.searchsorted(pin.mid, R), ra[:, None] + 1) - 1
+            if m0 + K == t:  # a finite alphabet's last letter takes the rest
+                J[:, -1] = ra
+            col = np.arange(1, K + 1)
+            j = col + np.maximum(jp[:, None], np.maximum.accumulate(J - col, axis=1))
+            first = np.concatenate((jp[:, None], j[:, :-1]), axis=1) + 1
+            done = j >= ra[:, None]
+            finished = done[:, -1]
+            last = np.where(finished, done.argmax(axis=1) + 1, K)
+            valid = col <= last[:, None]
+            steal = valid & (J < first)
+            under = np.argwhere(
+                steal & (R <= np.concatenate((prevR[active, None], R[:, :-1]), axis=1)))
+            under = under[pin.probs[first[under[:, 0], under[:, 1]]] > 0.0]
+            if under.size:
+                i, c = under[0]
+                raise BinUnderflowError(f"bin {m0 + c + 1} width underflowed with mass "
+                                        f"left at slot {first[i, c]}")
+            i, c = np.nonzero(valid)
+            rows.append(active[i])
+            letters.append(m0 + 1 + c)
+            firsts.append(first[i, c])
+            lasts.append(j[i, c])
+            stole[active] |= steal.any(axis=1)
+            count[active[finished]] = m0 + last[finished]
+            more = ~finished
+            jprev[active[more]] = j[more, -1]
+            prevR[active[more]] = R[more, -1]
+            active = active[more]
+            m0 += K
+            K *= 2
+        row, m, a, b = (np.concatenate(x) for x in (rows, letters, firsts, lasts))
+        # Everything fell in bin 1: move the last slot to bin 2 so the node
+        # branches.
+        shifted = np.flatnonzero(count == 1)
+        b[(m == 1) & (count[row] == 1)] -= 1
+        count[shifted] = 2
+        row = np.concatenate((row, shifted))
+        m = np.concatenate((m, np.full(shifted.size, 2)))
+        a = np.concatenate((a, r[shifted]))
+        b = np.concatenate((b, r[shifted]))
+        # A block's letters are 1..count: place each child by its letter.
+        at = (np.cumsum(count) - count)[row] + m - 1
+        for x in (row, m, a, b):
+            x[at] = x.copy()
+        self.left_shifts += int(stole.sum())
+        self.right_shifts += shifted.size
+        self.max_letter = max(self.max_letter, int(count.max()))
+        lcosts = table.arrays(int(count.max()))[0]
+        return self.emit(v[row], m, a, b, wc[row] + lcosts[m])
+
+    def chains(self, l, r, v, wc):
+        """Finish a level whose blocks all have zero width, in closed form.
+
+        Under a finite alphabet the last letter t takes all but t - 1 slots
+        of such a block, and that child splits the same way one level down:
+        a chain of internal nodes.  Nodes are numbered in level order across
+        all the chains.
+        """
+        size = r - l + 1
+        t = self.t or int(size.max()) + 1  # on an infinite alphabet nothing chains
+        depth = (size - 2) // (t - 1) + 1  # internal nodes per chain
+        start = np.cumsum(depth) - depth
+        total = int(depth.sum())
+        chain = np.repeat(np.arange(len(l)), depth)
+        step = np.arange(total) - start[chain]
+        lcosts = self.table.arrays(min(t, int(size.max())))[0]
+        # Word costs grow along a chain one edge at a time, as the loop adds
+        # them.
+        acc = np.repeat(wc, depth)
+        for c in np.flatnonzero(depth > 1).tolist():
+            acc[start[c]:start[c] + depth[c]] = np.cumsum(
+                np.concatenate(([wc[c]], np.full(depth[c] - 1, lcosts[t]))))
+        order = np.lexsort((chain, step))  # level by level, chains in order
+        where = np.empty(total, dtype=np.int64)
+        where[order] = np.arange(total)
+        chain, step, acc = chain[order], step[order], acc[order]
+        p, m, a, b, kids = _zero_width_split(l[chain] + step * (t - 1), r[chain], t)
+        # A chain node below the first is its parent's letter-t child.
+        up = (np.cumsum(kids) - kids)[where[np.maximum(start[chain] + step - 1, 0)]]
+        node = np.where(step == 0, v[chain],
+                        self.base + len(self.buffers[0]) + up + t - 1)
+        self.emit(node[p], m, a, b, acc[p] + lcosts[m])
+        self.depth += int(depth.max()) - 1
+        self.left_shifts += total
+        self.max_letter = max(self.max_letter, int(m.max()))
+        return l[:0], r[:0], v[:0], wc[:0]
+
+
+def _zero_width_split(lo, hi, t):
+    """Split zero-width blocks [lo, hi] in closed form.
+
+    Every bin end of such a block is L, so each letter takes one slot, letter
+    i slot lo + i - 1, except that a finite alphabet's last letter t takes
+    the rest.  Returns each child's block index, letter and slot range, and
+    each block's number of children.
+    """
+    kids = np.minimum(hi - lo + 1, t) if t else hi - lo + 1
+    p = np.repeat(np.arange(len(lo)), kids)
+    m = np.arange(len(p)) - (np.cumsum(kids) - kids)[p] + 1
+    a = lo[p] + m - 1
+    return p, m, a, np.where(m == t, hi[p], a), kids
+
+
 def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot) -> CodeTree:
     """Build a prefix-free code tree for sorted probabilities.
 
-    Node ids follow the builder's depth-first stack: a block's node is
-    numbered when it is popped, a one-slot child when its parent splits.
+    The tree grows one level at a time, and nodes are numbered in level
+    order, each node's children in ascending letter order.  A level holding
+    at least `_VECTOR_SLOTS` slots splits all its blocks at once in numpy; a
+    smaller one, and so every level below it, splits block by block with
+    `_split`.  Both paths give the same nodes, bit for bit.
     `split_trace(tree)` reports every split of the result.
     """
     n = pinput.n
     table = LetterTable(spec, root.value)
-    lcosts = table.costs
-    cum = table.cum
-    ensure = table.ensure
-    finite_t = int(spec.alphabet_size) if spec.is_finite_alphabet else 0
-
-    parent = array("q")
-    letter = array("q")
-    weight = array("d")
-    leaf = array("q")
-    word_cost = array("d")
-
-    probs = pinput.probs.tolist()
-    P = pinput.prefix.tolist()
-    s = pinput.mid.tolist()
-
-    ensure(1)  # a one-symbol input's only letter; every split's first bin
-    stack = [(0, n - 1, -1, 0)]
-    while stack:
-        l, r, par, let = stack.pop()
-        v = len(parent)
-        parent.append(par)
-        letter.append(let)
-        word_cost.append(word_cost[par] + lcosts[let] if let else 0.0)
-        L = P[l]
-        w = P[r + 1] - L
-        weight.append(w)
-        leaf.append(-1)
-        if l < r:
-            ranges = _split(l, r, L, w, s, probs, cum, ensure, finite_t)[0]
-        else:  # the root of a one-symbol input: its symbol gets letter 1
-            ranges = [(l, r, 1)]
-        for a, b, m in reversed(ranges):
-            if a == b:
-                parent.append(v)
-                letter.append(m)
-                word_cost.append(word_cost[v] + lcosts[m])
-                weight.append(probs[a])
-                leaf.append(a)
-            else:
-                stack.append((a, b, v, m))
-
-    return CodeTree(spec, root, pinput, parent, letter, weight, leaf,
-                    word_cost, table)
+    table.ensure(1)  # a one-symbol input's only letter; every split's first bin
+    walk = _Walk(pinput, table, int(spec.alphabet_size) if spec.is_finite_alphabet else 0)
+    level = [(0, n - 1, 0, 0.0)]
+    if n >= _VECTOR_SLOTS:
+        level = walk.vector_levels(level)
+    walk.scalar_levels(level)
+    return CodeTree(spec, root, pinput, *walk.arrays(), table, walk.stats())
 
 
 def split_trace(tree: CodeTree) -> list[dict]:
-    """Every split of a built tree, in the order the builder made them: the
-    `trace` records of `varncode code --trace --format json`.
+    """Every split of a built tree, in node order (level order): the `trace`
+    records of `varncode code --trace --format json`.
 
     Per bin: its bounds [lo, hi), the slots whose midpoints fall inside
     (`initial`, None if none) and the slots the letter received (`final`).

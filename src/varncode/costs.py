@@ -20,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import CostSpecError, DivergentSpecError
 
 FINITE_LIST = "FiniteList"
@@ -675,7 +677,8 @@ class LetterTable:
     costs[m] is c_m (1-based; costs[0] unused) and cum[m] is
     sum_{i<=m} 2^(-c*c_i), the right boundary of bin m as a fraction of the
     parent interval.  Profile tables grow lazily as the builder asks for
-    deeper bins.
+    deeper bins.  Each cum entry adds one letter's weight to the one before
+    it, so the table's bits do not depend on how it was grown.
     """
 
     def __init__(self, spec: CostSpec, c: float):
@@ -684,6 +687,7 @@ class LetterTable:
         self.cum = [0.0]
         self._level = 0
         self._left = 0
+        self._arrays = None
         # A finite list is materialized here, so its walk is empty.
         self._levels = iter(()) if spec.family is None else spec.family.levels()
         if spec.costs is not None:
@@ -703,10 +707,20 @@ class LetterTable:
                 if level is None:
                     raise CostSpecError("letter index beyond alphabet")
                 self._level, self._left = level
-            w = 2.0 ** (-self.c * self._level)
+            cost = float(self._level)
+            w = 2.0 ** (-self.c * cost)
             batch = min(self._left, m + 1 - len(costs))
-            base = cum[-1]
-            for i in range(1, batch + 1):
-                costs.append(float(self._level))
-                cum.append(base + i * w)
+            acc = cum[-1]
+            for _ in range(batch):
+                acc += w
+                costs.append(cost)
+                cum.append(acc)
             self._left -= batch
+
+    def arrays(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(costs, cum) as float64 arrays holding at least letters 0..m; the
+        copy is kept until the table grows."""
+        self.ensure(m)
+        if self._arrays is None or len(self._arrays[0]) != len(self.costs):
+            self._arrays = (np.array(self.costs), np.array(self.cum))
+        return self._arrays

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from varncode import (
@@ -292,6 +293,30 @@ def test_bench_csv(capsys):
     assert lines[1].startswith("100,")
     assert lines[2].startswith("200,")
     assert len(lines) == 3
+
+
+def test_bench_json_times_every_layer(capsys):
+    code, out, err = run(
+        capsys, "bench", "--costs", "linear", "finite:1,2", "--sizes", "100,200",
+        "--dist", "zipf:1.0", "uniform", "--repeats", "2", "--format", "json",
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["repeats"] == 2 and doc["statistic"] == "median"
+    assert doc["numpy"] == np.__version__
+    assert [(r["costs"], r["dist"], r["n"]) for r in doc["rows"]] == [
+        (c, d, n) for c in ("linear", "finite:1,2") for d in ("zipf:1.0", "uniform")
+        for n in (100, 200)]
+    for row in doc["rows"]:
+        assert sorted(row["seconds"]) == ["build_code", "codeword_lines", "emit",
+                                          "parse_root", "prepare", "report"]
+        assert all(s >= 0.0 for s in row["seconds"].values())
+
+
+def test_bench_csv_takes_one_spec(capsys):
+    code, _, err = run(capsys, "bench", "--costs", "linear", "fib", "--sizes", "100")
+    assert code == EXIT_PARSE
+    assert "one --costs" in err
 
 
 # ---------------------------------------------------------------------------

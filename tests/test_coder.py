@@ -163,7 +163,7 @@ def test_zero_probabilities_get_codewords():
 def test_deep_chain_of_zeros():
     probs = [1.0] + [0.0] * 3000
     tree = build(probs, "finite:1,1")
-    assert tree.tree_depth() == 3000
+    assert tree.stats.max_depth == 3000
     assert tree.cost() == pytest.approx(1.0)
 
 
@@ -318,7 +318,7 @@ def test_random_builds_are_prefix_free_with_kraft():
         assert verify_prefix_free(words)
         assert tree.kraft_sum() <= 1.0 + 1e-9
         assert tree.sum_branching() <= 2 * n - 1
-        assert tree.tree_depth() >= 1
+        assert tree.stats.max_depth >= 1
 
 
 def test_decomposition_identities():
@@ -339,6 +339,44 @@ def test_decomposition_identities():
         H = -math.fsum(float(q) * math.log2(float(q)) for q in pin.probs if q > 0)
         assert abs(tree.cost_decomposition() - direct_cost) < 1e-7
         assert abs(tree.entropy_decomposition() - H) < 1e-7
+
+
+@pytest.mark.parametrize("spec_text", ["finite:1,2", "finite:1,1,5", "linear", "fib"])
+@pytest.mark.parametrize("gen", ["zipf:1.0,3000", "uniform:500", "geom:0.9,200",
+                                 "zeros", "tiny"])
+def test_nodes_in_level_order_and_stats_count_them(spec_text, gen):
+    """Node ids run level by level, each node's children in letter order,
+    and BuildStats counts the tree it comes with.  The zero and subnormal
+    tails make zero-width chains."""
+    if gen == "zeros":
+        probs = np.concatenate((make_probs("zipf:1.0", 300, 0), np.zeros(700)))
+    elif gen == "tiny":
+        probs = np.concatenate((make_probs("zipf:1.0", 300, 0), np.full(700, 1e-300)))
+    else:
+        probs = parse_gen(gen, 0)
+    if gen == "tiny" and spec_text == "linear":
+        # the bins of linear's deep letters are narrower than an ulp of L
+        with pytest.raises(BinUnderflowError):
+            build(probs, spec_text, normalize=True)
+        return
+    tree = build(probs, spec_text, normalize=True)
+    parent, letter = tree._parent, tree._letter
+    depth = np.zeros(tree.num_nodes, dtype=np.int64)
+    for v in range(1, tree.num_nodes):
+        depth[v] = depth[parent[v]] + 1
+    assert np.all(np.diff(depth) >= 0)
+    key = parent[1:] * (int(letter.max()) + 1) + letter[1:]
+    same_level = np.diff(depth[1:]) == 0
+    assert np.all(np.diff(key)[same_level] > 0)
+    stats = tree.stats
+    assert stats.nodes == tree.num_nodes
+    assert stats.internal == sum(not tree.is_leaf(v) for v in range(tree.num_nodes))
+    assert stats.max_depth == depth.max()
+    assert stats.max_letter == letter.max()
+    splits = split_trace(tree)
+    assert stats.left_shifts == sum(e["left_shifted"] for e in splits)
+    assert stats.right_shifts == sum(e["right_shifted"] for e in splits)
+    assert 0 < stats.bins_evaluated
 
 
 @pytest.mark.parametrize("spec_text", ["finite:1,2", "linear", "fib", "profile:1,1"])

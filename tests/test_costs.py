@@ -17,7 +17,7 @@ from varncode import (
     repeat,
     telegraph,
 )
-from varncode.costs import CostSpec, CustomProfileFamily
+from varncode.costs import CostSpec, CustomProfileFamily, LetterTable
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -89,6 +89,28 @@ def test_letter_cost_stops_where_a_profile_alphabet_ends():
         spec.letter_cost(3)
     # the walk ends at the last letter, not after 10^7 empty levels
     assert max(levels_read) == 2
+
+
+@pytest.mark.parametrize("spec_text", ["linear", "fib", "balanced", "repeat:3",
+                                       "profile:1,0,3;tail=repeat"])
+def test_letter_table_bits_do_not_depend_on_how_it_grew(spec_text):
+    """The builder asks for letters one at a time on its scalar path and in
+    batches on its vector path; both must see the same bin ends."""
+    spec = parse_cost_spec(spec_text)
+    c = char_root(spec).value
+    one_by_one = LetterTable(spec, c)
+    for m in range(1, 3001):
+        one_by_one.ensure(m)
+    rng = random.Random(spec_text)
+    for _ in range(5):
+        batched = LetterTable(spec, c)
+        m = 0
+        while m < 3000:
+            m = min(3000, m + rng.randint(1, 400))
+            costs, cum = batched.arrays(m)
+        assert batched.costs == one_by_one.costs
+        assert [x.hex() for x in batched.cum] == [x.hex() for x in one_by_one.cum]
+        assert costs.tolist() == batched.costs and cum.tolist() == batched.cum
 
 
 def test_normalize_rescales_finite_lists():

@@ -1,7 +1,8 @@
 """Property tests over generated cost specs and probability vectors.
 
 Any spec and vector either build a prefix-free code within the Kraft bound
-or raise BinUnderflowError; split_trace describes exactly the tree it was
+or raise BinUnderflowError; the numpy and the scalar split paths build the
+same tree bit for bit; split_trace describes exactly the tree it was
 derived from; every bound row the report applies holds, and the cost and
 entropy decompositions add up; approx_bound stops at the first cost level
 whose weighted tail fits; and the CLI maps any JSON array in a --probs
@@ -15,7 +16,8 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varncode import (
@@ -30,6 +32,7 @@ from varncode import (
     split_trace,
     verify_prefix_free,
 )
+from varncode import coder
 from varncode.cli import main
 
 FAMILIES = ("linear", "fib", "balanced", "telegraph", "repeat:1", "repeat:3",
@@ -123,6 +126,47 @@ def test_build_is_prefix_free_and_its_trace_is_the_tree(spec_text, weights):
         for m, (a, b) in zip(letters, finals):
             u = child[(v, m)]
             assert [first[u], last[u]] == [a, b]
+
+
+def _build_on_one_path(slots, spec_text, weights):
+    """The five node arrays built with every level of at least `slots` slots
+    on the numpy path, or the type of the error raised."""
+    spec = parse_cost_spec(spec_text)
+    pin = prepare(weights, normalize=True)
+    saved = coder._VECTOR_SLOTS
+    coder._VECTOR_SLOTS = slots
+    try:
+        tree = build_code(pin, spec, char_root(spec))
+    except BinUnderflowError as exc:
+        return type(exc)
+    finally:
+        coder._VECTOR_SLOTS = saved
+    return [a.tobytes() for a in (tree._parent, tree._letter, tree._weight,
+                                  tree._leaf, tree._word_cost)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(spec_text=specs, weights=vectors)
+# A zero-width chain under t = 3 letters that ends with fewer than t slots.
+@example(spec_text="finite:1,2,3", weights=[1.0] + [0.0] * 6)
+@example(spec_text="finite:1,2,3", weights=[1.0] + [0.0] * 7)
+# A finite profile whose last letter is first read by the last-letter rule.
+@example(spec_text="profile:1,0,3", weights=[0.3, 0.3, 0.2, 0.1, 0.1])
+# A zero-width block over positive subnormals: its leaves weigh probs[a].
+@example(spec_text="finite:1,1", weights=[1.0, 5e-324, 5e-324, 5e-324])
+def test_numpy_and_scalar_split_paths_build_the_same_tree(spec_text, weights):
+    vector = _build_on_one_path(2, spec_text, weights)
+    scalar = _build_on_one_path(10 ** 9, spec_text, weights)
+    assert vector == scalar
+
+
+def test_zero_width_block_over_subnormals_keeps_their_weights():
+    weights = [1.0, 5e-324, 5e-324, 5e-324]
+    for slots in (2, 10 ** 9):
+        _, _, weight, leaf, _ = _build_on_one_path(slots, "finite:1,1", weights)
+        weight = np.frombuffer(weight)
+        leaf = np.frombuffer(leaf, dtype=np.int64)
+        assert sorted(weight[leaf >= 0].tolist()) == [5e-324] * 3 + [1.0]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
