@@ -27,6 +27,7 @@ from .analysis import (
     size_bound,
 )
 from .coder import (
+    BuildStats,
     CodeTree,
     ProbInput,
     build_code,

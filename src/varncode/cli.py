@@ -2,9 +2,9 @@
 
 Subcommands: root (characteristic root), code (build + codewords + report),
 bounds (report only), oracle (exact small-instance optimum), compare (coder
-vs oracle), bench (build-time CSV or per-layer timing JSON).  Exit codes: 0 ok, 2 parse/input error,
-3 numeric error (divergence, underflow), 4 oracle limits, 5 audit
-violation.
+vs oracle), bench (build-time CSV, or per-layer timing JSON).  Exit codes:
+0 ok, 2 parse/input error, 3 numeric error (divergence, underflow), 4 oracle
+limits, 5 audit violation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import json
 import math
 import os
 import platform
-import subprocess
 import sys
 import time
 
@@ -323,7 +322,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def _median_seconds(fn, repeats: int):
     """Median wall time of fn() over `repeats` calls, and its last result."""
     times = []
-    out = None
     for _ in range(max(1, repeats)):
         out = None  # free the last result before making the next
         t0 = time.perf_counter()
@@ -334,6 +332,8 @@ def _median_seconds(fn, repeats: int):
 
 def _commit() -> str | None:
     """The source checkout's commit, marked -dirty if it has changes."""
+    import subprocess  # only bench needs it; every other command's startup counts
+
     try:
         run = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                              cwd=os.path.dirname(os.path.abspath(__file__)),

@@ -438,7 +438,6 @@ class _Walk:
         parent, letter, weight, leaf, word_cost = self.buffers
         base = self.base
         bins = lefts = rights = depth = 0
-        top = 1
         while level:
             nxt = []
             for l, r, v, wc in level:
@@ -449,7 +448,6 @@ class _Walk:
                     bins += m - (m == t)
                     lefts += stole
                     rights += rshift
-                    top = max(top, ranges[-1][2])
                 else:  # the root of a one-symbol input: its symbol gets letter 1
                     ranges = [(l, r, 1)]
                 for a, b, m in ranges:
@@ -469,7 +467,7 @@ class _Walk:
         self.bins += bins
         self.left_shifts += lefts
         self.right_shifts += rights
-        self.max_letter = max(self.max_letter, top)
+        self.max_letter = max(self.max_letter, max(letter))
         self.depth += depth
 
     def emit(self, parent, letter, a, b, word_cost):

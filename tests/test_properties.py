@@ -15,24 +15,25 @@ import io
 import json
 import math
 
-import pytest
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varncode import (
     BOUND_REFERENCE,
     BinUnderflowError,
+    VarncodeError,
     approx_bound,
     build_code,
     char_root,
+    coder,
     parse_cost_spec,
     prepare,
     report,
     split_trace,
     verify_prefix_free,
 )
-from varncode import coder
 from varncode.cli import main
 
 FAMILIES = ("linear", "fib", "balanced", "telegraph", "repeat:1", "repeat:3",
@@ -137,7 +138,7 @@ def _build_on_one_path(slots, spec_text, weights):
     coder._VECTOR_SLOTS = slots
     try:
         tree = build_code(pin, spec, char_root(spec))
-    except BinUnderflowError as exc:
+    except VarncodeError as exc:
         return type(exc)
     finally:
         coder._VECTOR_SLOTS = saved
