@@ -127,7 +127,7 @@ class CodeTree:
     """
 
     def __init__(self, spec, root, pinput, parent, letter, weight, leaf,
-                 word_cost, table, stats):
+                 word_cost, table, counts):
         self.spec: CostSpec = spec
         self.root: CharRoot = root
         self.input: ProbInput = pinput
@@ -137,7 +137,7 @@ class CodeTree:
         self._leaf = np.frombuffer(leaf, dtype=np.int64)
         self._word_cost = np.frombuffer(word_cost, dtype=np.float64)
         self._table: LetterTable = table
-        self.stats: BuildStats = stats
+        self._counts = counts  # depth, left and right shifts, bins evaluated
         nodes = np.flatnonzero(self._leaf >= 0)
         self._leaf_node = np.empty(pinput.n, dtype=np.int64)
         self._leaf_node[self._leaf[nodes]] = nodes
@@ -153,6 +153,13 @@ class CodeTree:
     @property
     def num_nodes(self) -> int:
         return len(self._parent)
+
+    @property
+    def stats(self) -> BuildStats:
+        """The build's deterministic counters."""
+        depth, left, right, bins = self._counts
+        return BuildStats(self.num_nodes, self.num_nodes - self.n, depth, left, right,
+                          int(self._letter.max()), bins)
 
     def parent_of(self, v: int) -> int:
         return self._parent.item(v)
@@ -394,9 +401,13 @@ class _Walk:
         self.pin = pinput
         self.table = table
         self.t = finite_t
-        # Memoryviews give the scalar path Python floats straight from the
-        # arrays, with no O(n) copy for the few slots below the vector levels.
-        self.views = [memoryview(x) for x in (pinput.probs, pinput.prefix, pinput.mid)]
+        # The scalar path reads Python floats: from lists when it builds the
+        # whole tree (they index fastest, about 1 us of an n <= 10 build),
+        # else from memoryviews, with no O(n) copy for the few slots below
+        # the vector levels.
+        data = (pinput.probs, pinput.prefix, pinput.mid)
+        self.views = ([x.tolist() for x in data] if pinput.n < _VECTOR_SLOTS
+                      else [memoryview(x) for x in data])
         # The root; every other node is some level's child.
         self.buffers = (array("q", [-1]), array("q", [0]),
                         array("d", [self.views[1][-1] - self.views[1][0]]),
@@ -404,7 +415,7 @@ class _Walk:
         self.chunks = []
         self.base = 0  # nodes in the chunks
         self.depth = self.left_shifts = self.right_shifts = 0
-        self.max_letter = self.bins = 0
+        self.bins = 0
 
     def arrays(self):
         """parent, letter, weight, leaf and word cost of every node: the
@@ -414,11 +425,6 @@ class _Walk:
         return [np.concatenate((view[:1], *chunks, view[1:]))
                 for chunks, view in zip(zip(*self.chunks),
                                         map(np.frombuffer, self.buffers, "qqdqd"))]
-
-    def stats(self) -> BuildStats:
-        nodes = self.base + len(self.buffers[0])
-        return BuildStats(nodes, nodes - self.pin.n, self.depth, self.left_shifts,
-                          self.right_shifts, self.max_letter, self.bins)
 
     def vector_levels(self, level: list) -> list:
         """Split level after level in numpy while a level holds at least
@@ -467,7 +473,6 @@ class _Walk:
         self.bins += bins
         self.left_shifts += lefts
         self.right_shifts += rights
-        self.max_letter = max(self.max_letter, max(letter))
         self.depth += depth
 
     def emit(self, parent, letter, a, b, word_cost):
@@ -565,7 +570,6 @@ class _Walk:
             x[at] = x.copy()
         self.left_shifts += int(stole.sum())
         self.right_shifts += shifted.size
-        self.max_letter = max(self.max_letter, int(count.max()))
         lcosts = table.arrays(int(count.max()))[0]
         return self.emit(v[row], m, a, b, wc[row] + lcosts[m])
 
@@ -603,7 +607,6 @@ class _Walk:
         self.emit(node[p], m, a, b, acc[p] + lcosts[m])
         self.depth += int(depth.max()) - 1
         self.left_shifts += total
-        self.max_letter = max(self.max_letter, int(m.max()))
         return l[:0], r[:0], v[:0], wc[:0]
 
 
@@ -640,7 +643,8 @@ def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot) -> CodeTree:
     if n >= _VECTOR_SLOTS:
         level = walk.vector_levels(level)
     walk.scalar_levels(level)
-    return CodeTree(spec, root, pinput, *walk.arrays(), table, walk.stats())
+    return CodeTree(spec, root, pinput, *walk.arrays(), table,
+                    (walk.depth, walk.left_shifts, walk.right_shifts, walk.bins))
 
 
 def split_trace(tree: CodeTree) -> list[dict]:
