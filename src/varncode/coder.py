@@ -414,8 +414,7 @@ class _Walk:
                         array("q", [-1]), array("d", [0.0]))
         self.chunks = []
         self.base = 0  # nodes in the chunks
-        self.depth = self.left_shifts = self.right_shifts = 0
-        self.bins = 0
+        self.depth = self.left_shifts = self.right_shifts = self.bins = 0
 
     def arrays(self):
         """parent, letter, weight, leaf and word cost of every node: the
@@ -439,8 +438,8 @@ class _Walk:
     def scalar_levels(self, level: list) -> None:
         """Split the remaining levels block by block with `_split`."""
         probs, P, s = self.views
-        table, t = self.table, self.t
-        lcosts = table.costs
+        t = self.t
+        lcosts, cum, ensure = self.table.costs, self.table.cum, self.table.ensure
         parent, letter, weight, leaf, word_cost = self.buffers
         base = self.base
         bins = lefts = rights = depth = 0
@@ -449,7 +448,7 @@ class _Walk:
             for l, r, v, wc in level:
                 if l < r:
                     ranges, stole, rshift = _split(l, r, P[l], P[r + 1] - P[l], s, probs,
-                                                   table.cum, table.ensure, t)
+                                                   cum, ensure, t)
                     m = 1 if rshift else ranges[-1][2]
                     bins += m - (m == t)
                     lefts += stole
