@@ -122,7 +122,7 @@ class CodeTree:
     Nodes are indexed 0..num_nodes-1 in level order with the root at 0, so
     parents precede children.  Leaves carry the sorted probability slot they
     encode; edge letters are 1-based letter indices (0 on the root).  The
-    per-node arrays are numpy views of the builder's buffers, and `stats`
+    per-node arrays are numpy views of the builder's output, and `stats`
     holds the build's counters.
     """
 
