@@ -203,12 +203,12 @@ def cmd_code(args: argparse.Namespace) -> int:
             # "tree" sorts last; to_json writes any depth.
             rest = rest[:-1] + ',"tree":' + tree.to_json() + "}"
         # "codewords" sorts before every other key, so the array is written
-        # first, item by item in sorted-key order, from the text lines (a
-        # finite float's repr is also its JSON form).
-        lines = tree.codeword_lines()
-        for k, line in enumerate(lines):
-            i, letters, cost = line.split("\t")
-            lines[k] = f'{{"cost":{cost},"index":{i},"letters":[{letters}]}}'
+        # first, item by item in sorted-key order, from the same fold as the
+        # text lines (a finite float's repr is also its JSON form).  Each
+        # word starts with the comma of its first letter.
+        words, costs = tree._symbol_words(lambda m: f",{m}")
+        lines = [f'{{"cost":{c!r},"index":{i},"letters":[{w[1:]}]}}'
+                 for i, w, c in zip(range(tree.n), words, costs)]
         sys.stdout.write('{"codewords":[')
         _write_joined(lines, ",")
         sys.stdout.write("]," + rest[1:] + "\n")

@@ -33,6 +33,9 @@ INTEGER_SNAP = 1e-9
 
 _DEFAULT_ROOT_TOL = 1e-12
 
+# Walks over an infinite alphabet stop with CostSpecError past this level.
+_MAX_LEVEL = 10 ** 7
+
 
 def _geom_weighted_tail(z: float, level: int) -> float:
     """sum_{j > level} j * z^j for 0 < z < 1, in closed form."""
@@ -51,12 +54,16 @@ class ProfileFamily:
     multiplicities, the characteristic sum S(z) = sum_j d_j z^j and the
     weighted sum z*S'(z) = sum_j j*d_j*z^j with its tails past each level as
     functions of z = 2^(-c) (each math.inf where its series diverges), an
-    exact root when one is known, and the largest multiplicity K (or
-    infinity).
+    exact root when one is known, the largest multiplicity K (or infinity),
+    and where the profile starts repeating, if it does.
     """
 
     def multiplicity(self, j: int) -> int:
         raise NotImplementedError
+
+    def repeat_tail(self) -> tuple[int, int] | None:
+        """(J, d) when every level past J holds d > 0 letters, else None."""
+        return None
 
     def levels(self) -> _Levels:
         """Iterator of (j, d_j) for every level j that has letters, in order."""
@@ -86,7 +93,7 @@ class _Levels:
     """Walk over the levels of a profile that have letters.
 
     Stops where the alphabet ends; an infinite alphabet raises CostSpecError
-    past level 10^7 instead of walking on.  An iterator class rather than a
+    past `_MAX_LEVEL` instead of walking on.  An iterator class rather than a
     generator, so a LetterTable holding a walk in progress still pickles.
     """
 
@@ -101,7 +108,7 @@ class _Levels:
     def __next__(self) -> tuple[int, int]:
         while self.seen < self.total:
             self.j += 1
-            if self.j > 10 ** 7:
+            if self.j > _MAX_LEVEL:
                 raise CostSpecError("letter index beyond alphabet")
             d = self.family.multiplicity(self.j)
             if d:
@@ -120,6 +127,9 @@ class RepeatFamily(ProfileFamily):
 
     def multiplicity(self, j):
         return self.d
+
+    def repeat_tail(self):
+        return 0, self.d
 
     def char_sum_z(self, z):
         if z >= 1.0:
@@ -243,6 +253,9 @@ class CustomProfileFamily(ProfileFamily):
             return self.prefix[j - 1]
         return self.prefix[-1] if self.tail == "repeat" else 0
 
+    def repeat_tail(self):
+        return (len(self.prefix), self.prefix[-1]) if self.repeats else None
+
     def char_sum_z(self, z):
         base = math.fsum(d * z ** j for j, d in enumerate(self.prefix, start=1))
         if not self.repeats:
@@ -341,7 +354,12 @@ class CostSpec:
     @cached_property
     def second_cost_gap(self) -> float:
         """c_2 - c_1, read by four of the bounds; computed once per spec."""
-        return self.letter_cost(2) - self.letter_cost(1)
+        if self.costs is not None:
+            return self.costs[1] - self.costs[0]
+        # Every alphabet has two letters: c_2 is c_1 again, or the next level.
+        levels = self.family.levels()
+        j, d = next(levels)
+        return 0.0 if d > 1 else float(next(levels)[0] - j)
 
     @property
     def integer_costs(self) -> bool:
@@ -649,14 +667,14 @@ def _beta_value(spec: CostSpec, c: float) -> float:
     z = 2.0 ** (-c)
     # Per level the supremand is largest at the level's first letter, where
     # it is r_j = sum_{l >= j} d_l z^(l-j) = d_j + z * r_{j+1}.
+    tail = fam.repeat_tail()
     if spec.is_finite_alphabet:
         top, r = int(spec.max_cost), 0.0
-    elif isinstance(fam, CustomProfileFamily):
-        # Past the prefix the ratio is constant.
-        top, r = len(fam.prefix), fam.prefix[-1] / (1.0 - z)
+    elif tail is not None:
+        # Past level J the ratio is constant.
+        top, r = tail[0], tail[1] / (1.0 - z)
     else:
-        # d_j = K at infinitely many levels for the built-in families, where
-        # this is the exact supremum (attained in the limit).
+        # d_j reaches K = inf (fib, balanced): the supremum is infinite.
         return fam.max_multiplicity() / (1.0 - z)
     best = r
     for j in range(top, 0, -1):
@@ -677,8 +695,9 @@ class LetterTable:
     costs[m] is c_m (1-based; costs[0] unused) and cum[m] is
     sum_{i<=m} 2^(-c*c_i), the right boundary of bin m as a fraction of the
     parent interval.  Profile tables grow lazily as the builder asks for
-    deeper bins.  Each cum entry adds one letter's weight to the one before
-    it, so the table's bits do not depend on how it was grown.
+    deeper bins, a level's letters at a time.  Each cum entry adds one
+    letter's weight to the one before it, so the table's bits do not depend
+    on how it was grown.
     """
 
     def __init__(self, spec: CostSpec, c: float):
@@ -686,16 +705,30 @@ class LetterTable:
         self.costs = [0.0]
         self.cum = [0.0]
         self._level = 0
-        self._left = 0
+        self._left = 0  # letters of the current level not yet in the table
+        self._w = 0.0  # weight of each letter of the current level
+        # Set at the first tail level whose weight leaves cum[-1] unchanged:
+        # weights only fall with the level and a sum rounds monotonically, so
+        # every later entry equals cum[-1] too.  Only a repeating tail is
+        # checked: other profiles end with their prefix, or (fib, balanced)
+        # pass 10^7 letters within a few dozen levels.
+        self._flat = False
         self._arrays = None
-        # A finite list is materialized here, so its walk is empty.
-        self._levels = iter(()) if spec.family is None else spec.family.levels()
-        if spec.costs is not None:
+        # Every level past _tail_from holds _tail_d letters.
+        self._tail_from, self._tail_d = math.inf, 0
+        if spec.family is None:
+            # A finite list is materialized here, so its walk is empty.
+            self._levels = iter(())
             acc = 0.0
             for ci in spec.costs:
                 acc += 2.0 ** (-c * ci)
                 self.costs.append(ci)
                 self.cum.append(acc)
+        else:
+            self._levels = spec.family.levels()
+            tail = spec.family.repeat_tail()
+            if tail is not None:
+                self._tail_from, self._tail_d = tail
 
     def ensure(self, m: int) -> None:
         """Extend the table so letter m is materialized."""
@@ -703,19 +736,48 @@ class LetterTable:
         cum = self.cum
         while len(costs) <= m:
             if self._left == 0:
-                level = next(self._levels, None)
-                if level is None:
-                    raise CostSpecError("letter index beyond alphabet")
-                self._level, self._left = level
-            cost = float(self._level)
-            w = 2.0 ** (-self.c * cost)
+                # Open the next level with letters: past a repeating
+                # profile's prefix without walking the family.
+                if self._level < self._tail_from:
+                    level = next(self._levels, None)
+                    if level is None:
+                        raise CostSpecError("letter index beyond alphabet")
+                    self._level, self._left = level
+                    self._w = 2.0 ** (-self.c * self._level)
+                elif self._flat:
+                    self._extend_flat_tail(m)
+                    return
+                else:
+                    self._level += 1
+                    self._left = self._tail_d
+                    if self._level > _MAX_LEVEL:
+                        raise CostSpecError("letter index beyond alphabet")
+                    self._w = w = 2.0 ** (-self.c * self._level)
+                    self._flat = cum[-1] + w == cum[-1]
             batch = min(self._left, m + 1 - len(costs))
+            self._left -= batch
+            cost = float(self._level)
+            w = self._w
             acc = cum[-1]
             for _ in range(batch):
                 acc += w
                 costs.append(cost)
                 cum.append(acc)
-            self._left -= batch
+
+    def _extend_flat_tail(self, m: int) -> None:
+        """Add letters through m in closed form, past a repeating profile's
+        prefix and once cum is flat: whole levels of d letters."""
+        d = self._tail_d
+        need = m + 1 - len(self.costs)
+        opened = -(-need // d)  # levels through the one holding letter m
+        top = self._level + opened
+        if top > _MAX_LEVEL:
+            raise CostSpecError("letter index beyond alphabet")
+        levels = np.arange(self._level + 1, top + 1, dtype=np.float64)
+        self.costs.extend(levels.repeat(d)[:need].tolist())
+        self.cum.extend([self.cum[-1]] * need)
+        self._level = top
+        self._left = opened * d - need
 
     def arrays(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(costs, cum) as float64 arrays holding at least letters 0..m; the

@@ -1,5 +1,6 @@
 """Tests for probability preparation, tree building, and split traces."""
 
+import hashlib
 import json
 import math
 import pickle
@@ -575,6 +576,46 @@ def test_split_trace_pinned(spec_text, probs, expected):
 # ---------------------------------------------------------------------------
 # verify_prefix_free
 # ---------------------------------------------------------------------------
+
+def _hist(n, seed):
+    """Counts of 3n draws from zipf(1.3), normalized: most symbols get none."""
+    w = np.arange(1, n + 1, dtype=np.float64) ** -1.3
+    x = np.random.default_rng(seed).multinomial(3 * n, w / w.sum()).astype(np.float64)
+    return x / x.sum()
+
+
+# Frozen from a build that grew the letter table one letter at a time.
+@pytest.mark.parametrize("spec_text,input_name,leaf_sha,cost_hex", [
+    ("linear", "halves", "ac54bc27fe55d55b8852ba641a3a00cac4854715072b6c353a0602e4c974c4f7",
+     "0x1.8000000000000p+0"),
+    ("repeat:3", "halves", "7bd9f8d57d5ac54b430e5e254c86f6d47ab151ef6a6887aeed541637f09e684b",
+     "0x1.0000000000000p+0"),
+    ("profile:1,0,2;tail=repeat", "halves",
+     "581105df9512f633021fa7a3736eb29e65bbc119191ef530fe4418b51f6400a7", "0x1.0000000000000p+1"),
+    ("fib", "halves", "7d4d8d11183bb80f55b048f9b19c1e18f08cedfafcf0511eef9179a8823c1290",
+     "0x1.8000000000000p+0"),
+    ("linear", "hist", "1cc9b30a3b8cb03c33f0a2f203550d2d45b1303e3c10ba5f44532f835cf4e024",
+     "0x1.9ad0e56041892p+2"),
+    ("repeat:3", "hist", "9b1ee400b4a7646c93336aa83f87606604c5bbf5366e62c3ced0f7588ae7f676",
+     "0x1.a25b7a32846fep+1"),
+    ("profile:1,0,2;tail=repeat", "hist",
+     "a8a2fcdccdec2cc4d6b67bb03a0c714ccfc4addc3d08f08c3616f3ed88812d74", "0x1.a6647d1085416p+2"),
+    ("fib", "hist", "a9bb0cc178a3234d33ff05ac92a6f4bbb41930b31078c42176ddf0fcf9e05828",
+     "0x1.5c33e1f67152ap+2"),
+])
+def test_zero_tail_builds_pinned(spec_text, input_name, leaf_sha, cost_hex):
+    """n = 2e4 with a tail of zero-mass symbols, each of which takes a
+    letter of its own under an infinite alphabet: 16 000 to 20 000 letters,
+    on the repeating profiles past the level where a letter's weight
+    underflows."""
+    if input_name == "halves":
+        probs = [0.5, 0.5] + [0.0] * 20_000
+    else:
+        probs = _hist(20_000, 2007)  # 15 922 zero counts
+    tree = build(probs, spec_text)
+    assert hashlib.sha256(tree.leaf_costs.tobytes()).hexdigest() == leaf_sha
+    assert tree.cost().hex() == cost_hex
+
 
 def test_verify_prefix_free_detects_violations():
     assert verify_prefix_free([(1,), (2, 1), (2, 2)])

@@ -1,6 +1,7 @@
 """Tests for cost specifications, characteristic roots, and profile tails."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -111,6 +112,85 @@ def test_letter_table_bits_do_not_depend_on_how_it_grew(spec_text):
         assert batched.costs == one_by_one.costs
         assert [x.hex() for x in batched.cum] == [x.hex() for x in one_by_one.cum]
         assert costs.tolist() == batched.costs and cum.tolist() == batched.cum
+
+
+def _reference_table(spec, c, letters):
+    """costs and cum through `letters` from the definition, outside the
+    package: cum[m] = cum[m-1] + 2^(-c*c_m), the costs read off d_profile."""
+    levels = 16
+    while sum(spec.d_profile(levels)) < letters:
+        levels *= 2
+    costs, cum = [0.0], [0.0]
+    for j, d in enumerate(spec.d_profile(levels), start=1):
+        for _ in range(min(d, letters + 1 - len(costs))):
+            costs.append(float(j))
+            cum.append(cum[-1] + 2.0 ** (-c * float(j)))
+    return costs, cum
+
+
+@pytest.mark.parametrize("spec_text", ["linear", "repeat:3", "fib", "balanced",
+                                       "profile:1,0,3;tail=repeat",
+                                       "profile:0,0,5;tail=repeat",
+                                       "profile:2,0,1,3;tail=zero"])
+def test_letter_table_matches_a_reference_sum(spec_text):
+    """Grown by ensure and arrays in random steps, and pickled mid-walk, the
+    table holds the reference's bits, also past the level where a repeating
+    profile's letter weights underflow to 0.0."""
+    spec = parse_cost_spec(spec_text)
+    c = char_root(spec).value
+    letters = int(min(spec.alphabet_size, 6000))
+    ref_costs, ref_cum = _reference_table(spec, c, letters)
+    if spec.family.repeat_tail() is not None:
+        assert 2.0 ** (-c * ref_costs[-1]) == 0.0
+    rng = random.Random(spec_text)
+    for _ in range(5):
+        table = LetterTable(spec, c)
+        m = 0
+        while m < letters:
+            m = min(letters, m + rng.choice((1, 2, rng.randint(1, 50), rng.randint(1, 2000))))
+            if rng.random() < 0.5:
+                costs, cum = table.arrays(m)
+                assert costs.tolist() == table.costs and cum.tolist() == table.cum
+            else:
+                table.ensure(m)
+            if rng.random() < 0.1:
+                table = pickle.loads(pickle.dumps(table))
+        assert table.costs == ref_costs
+        assert [x.hex() for x in table.cum] == [x.hex() for x in ref_cum]
+    if spec.is_finite_alphabet:
+        with pytest.raises(CostSpecError):
+            table.ensure(letters + 1)
+
+
+@pytest.mark.parametrize("spec_text", ["linear", "repeat:3", "profile:1,0,3;tail=repeat"])
+def test_letter_table_reads_only_a_repeating_profiles_prefix(spec_text):
+    """Past the prefix the table grows in closed form: 85 000 letters read
+    no more levels from the family than the prefix holds, plus two."""
+    spec = parse_cost_spec(spec_text)
+    c = char_root(spec).value
+    fam = spec.family
+    levels_read = []
+    multiplicity = fam.multiplicity
+    fam.multiplicity = lambda j: levels_read.append(j) or multiplicity(j)
+    table = LetterTable(spec, c)
+    table.ensure(85_000)
+    assert len(table.costs) == 85_001
+    assert len(levels_read) <= fam.repeat_tail()[0] + 2
+
+
+@pytest.mark.parametrize("spec_text", ["telegraph", "finite:1,1,3", "linear", "repeat:2",
+                                       "fib", "balanced", "profile:0,0,1,1;tail=zero",
+                                       "profile:0,1;tail=repeat", "profile:0,3,1"])
+def test_second_cost_gap_reads_the_levels_once(spec_text):
+    expected = parse_cost_spec(spec_text)
+    expected = expected.letter_cost(2) - expected.letter_cost(1)
+    spec = parse_cost_spec(spec_text)
+    levels_read = []
+    if spec.family is not None:
+        multiplicity = spec.family.multiplicity
+        spec.family.multiplicity = lambda j: levels_read.append(j) or multiplicity(j)
+    assert spec.second_cost_gap == expected
+    assert len(levels_read) == len(set(levels_read))
 
 
 def test_normalize_rescales_finite_lists():
