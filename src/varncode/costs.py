@@ -706,7 +706,6 @@ class LetterTable:
         self.cum = [0.0]
         self._level = 0
         self._left = 0  # letters of the current level not yet in the table
-        self._w = 0.0  # weight of each letter of the current level
         # Set at the first tail level whose weight leaves cum[-1] unchanged:
         # weights only fall with the level and a sum rounds monotonically, so
         # every later entry equals cum[-1] too.  Only a repeating tail is
@@ -714,9 +713,11 @@ class LetterTable:
         # pass 10^7 letters within a few dozen levels.
         self._flat = False
         self._arrays = None
-        # Every level past _tail_from holds _tail_d letters.
-        self._tail_from, self._tail_d = math.inf, 0
-        if spec.family is None:
+        # The walk over the levels ahead; a repeating profile's walk holds
+        # only its prefix, and every level past it holds _tail_d letters.
+        self._tail_d = 0
+        fam = spec.family
+        if fam is None:
             # A finite list is materialized here, so its walk is empty.
             self._levels = iter(())
             acc = 0.0
@@ -724,11 +725,12 @@ class LetterTable:
                 acc += 2.0 ** (-c * ci)
                 self.costs.append(ci)
                 self.cum.append(acc)
+        elif (tail := fam.repeat_tail()) is None:
+            self._levels = fam.levels()
         else:
-            self._levels = spec.family.levels()
-            tail = spec.family.repeat_tail()
-            if tail is not None:
-                self._tail_from, self._tail_d = tail
+            prefix, self._tail_d = tail
+            self._levels = iter([(j, d) for j in range(1, prefix + 1)
+                                 if (d := fam.multiplicity(j))])
 
     def ensure(self, m: int) -> None:
         """Extend the table so letter m is materialized."""
@@ -736,14 +738,11 @@ class LetterTable:
         cum = self.cum
         while len(costs) <= m:
             if self._left == 0:
-                # Open the next level with letters: past a repeating
-                # profile's prefix without walking the family.
-                if self._level < self._tail_from:
-                    level = next(self._levels, None)
-                    if level is None:
-                        raise CostSpecError("letter index beyond alphabet")
+                level = next(self._levels, None)
+                if level is not None:
                     self._level, self._left = level
-                    self._w = 2.0 ** (-self.c * self._level)
+                elif not self._tail_d:
+                    raise CostSpecError("letter index beyond alphabet")
                 elif self._flat:
                     self._extend_flat_tail(m)
                     return
@@ -752,12 +751,11 @@ class LetterTable:
                     self._left = self._tail_d
                     if self._level > _MAX_LEVEL:
                         raise CostSpecError("letter index beyond alphabet")
-                    self._w = w = 2.0 ** (-self.c * self._level)
-                    self._flat = cum[-1] + w == cum[-1]
+                    self._flat = cum[-1] + 2.0 ** (-self.c * self._level) == cum[-1]
+            cost = float(self._level)
+            w = 2.0 ** (-self.c * cost)
             batch = min(self._left, m + 1 - len(costs))
             self._left -= batch
-            cost = float(self._level)
-            w = self._w
             acc = cum[-1]
             for _ in range(batch):
                 acc += w
