@@ -706,11 +706,10 @@ class LetterTable:
         self.cum = [0.0]
         self._level = 0
         self._left = 0  # letters of the current level not yet in the table
-        # Set at the first tail level whose weight leaves cum[-1] unchanged:
-        # weights only fall with the level and a sum rounds monotonically, so
-        # every later entry equals cum[-1] too.  Only a repeating tail is
-        # checked: other profiles end with their prefix, or (fib, balanced)
-        # pass 10^7 letters within a few dozen levels.
+        # Set once adding a letter's weight leaves cum[-1] unchanged: weights
+        # only fall with the level and a sum rounds monotonically, so every
+        # later entry equals cum[-1] too.  Only a repeating profile checks:
+        # its tail is the one the table can then add in closed form.
         self._flat = False
         self._arrays = None
         # The walk over the levels ahead; a repeating profile's walk holds
@@ -743,7 +742,8 @@ class LetterTable:
                     self._level, self._left = level
                 elif not self._tail_d:
                     raise CostSpecError("letter index beyond alphabet")
-                elif self._flat:
+                elif self._flat and m + 1 - len(costs) > self._tail_d:
+                    # Letter m lies past the next level.
                     self._extend_flat_tail(m)
                     return
                 else:
@@ -751,16 +751,17 @@ class LetterTable:
                     self._left = self._tail_d
                     if self._level > _MAX_LEVEL:
                         raise CostSpecError("letter index beyond alphabet")
-                    self._flat = cum[-1] + 2.0 ** (-self.c * self._level) == cum[-1]
             cost = float(self._level)
             w = 2.0 ** (-self.c * cost)
             batch = min(self._left, m + 1 - len(costs))
-            self._left -= batch
             acc = cum[-1]
             for _ in range(batch):
                 acc += w
                 costs.append(cost)
                 cum.append(acc)
+            self._left -= batch
+            if self._tail_d:
+                self._flat = acc + w == acc
 
     def _extend_flat_tail(self, m: int) -> None:
         """Add letters through m in closed form, past a repeating profile's
