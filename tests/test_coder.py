@@ -584,7 +584,8 @@ def _hist(n, seed):
     return x / x.sum()
 
 
-# Frozen from a build that grew the letter table one letter at a time.
+# Frozen from builds whose letter table added every letter's weight in turn,
+# with no closed-form tail.
 @pytest.mark.parametrize("spec_text,input_name,leaf_sha,cost_hex", [
     ("linear", "halves", "ac54bc27fe55d55b8852ba641a3a00cac4854715072b6c353a0602e4c974c4f7",
      "0x1.8000000000000p+0"),
