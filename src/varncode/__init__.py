@@ -52,7 +52,6 @@ from .errors import (
     BinUnderflowError,
     CapTooSmallError,
     CostSpecError,
-    DivergentSpecError,
     DivergentTailError,
     OracleTooLargeError,
     ProbInputError,

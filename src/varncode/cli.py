@@ -168,7 +168,7 @@ def root_dict(spec, root) -> dict:
 
 def cmd_root(args: argparse.Namespace) -> int:
     spec = parse_cost_spec(args.costs)
-    root = char_root(spec, tol=args.tol)
+    root = char_root(spec)
     if args.fmt == "json":
         emit_json(root_dict(spec, root))
     else:
@@ -186,7 +186,7 @@ def _build(args: argparse.Namespace):
     """Parse, root, load, build and report: the steps code, bounds and
     compare share."""
     spec = parse_cost_spec(args.costs)
-    root = char_root(spec, tol=args.tol)
+    root = char_root(spec)
     pin = load_input(args)
     tree = build_code(pin, spec, root)
     return tree, report(tree, epsilon=args.epsilon)
@@ -347,7 +347,7 @@ def _bench_layers(spec_text: str, dist: str, n: int, args) -> dict:
     """Seconds per layer of `code --format text`, each timed on its own."""
     def parse_root():
         spec = parse_cost_spec(spec_text)
-        return spec, char_root(spec, tol=args.tol)
+        return spec, char_root(spec)
 
     def emit():
         with contextlib.redirect_stdout(io.StringIO()):
@@ -383,7 +383,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if len(args.costs) > 1 or len(args.dist) > 1:
         raise ValueError("csv output takes one --costs and one --dist")
     spec = parse_cost_spec(args.costs[0])
-    root = char_root(spec, tol=args.tol)
+    root = char_root(spec)
     rows = []
     for n in sizes:
         pin = prepare(make_probs(args.dist[0], n, args.seed))
@@ -450,14 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_root)
     _add_costs(p)
     _add_format(p)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("code", help="build a code and print codewords + report")
     p.set_defaults(run=cmd_code)
     _add_costs(p)
     _add_probs(p)
     _add_format(p)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--epsilon", type=float, default=None,
                    help="enable the approximation bound row")
     p.add_argument("--trace", action="store_true", help="record split details")
@@ -469,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_costs(p)
     _add_probs(p)
     _add_format(p)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--epsilon", type=float, default=None)
 
     p = sub.add_parser("oracle", help="exact optimum for small instances")
@@ -485,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_costs(p)
     _add_probs(p)
     _add_format(p)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--epsilon", type=float, default=None)
 
     p = sub.add_parser("bench", help="build-time CSV, or per-layer JSON, over "
@@ -502,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv: build seconds per size; json: seconds per layer")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     return ap
 

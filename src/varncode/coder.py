@@ -119,21 +119,20 @@ def prepare(probs, normalize: bool = False) -> ProbInput:
 class CodeTree:
     """Built prefix-free code in compact array form.
 
-    Nodes are indexed 0..num_nodes-1 in level order with the root at 0, so
-    parents precede children.  Leaves carry the sorted probability slot they
-    encode; edge letters are 1-based letter indices (0 on the root).  The
-    per-node arrays are numpy views of the builder's output, and `stats`
-    holds the build's counters.
+    Nodes are indexed 0..num_nodes-1 in level order with the root at 0, each
+    node's children in ascending letter order, so parents precede children.
+    Leaves carry the sorted probability slot they encode; edge letters are
+    1-based letter indices (0 on the root).  The per-node arrays are numpy
+    views of the builder's output, and `stats` holds the build's counters.
     """
 
-    def __init__(self, spec, root, pinput, parent, letter, weight, leaf,
-                 word_cost, table, counts):
+    def __init__(self, spec, root, pinput, parent, letter, leaf, word_cost,
+                 table, counts):
         self.spec: CostSpec = spec
         self.root: CharRoot = root
         self.input: ProbInput = pinput
         self._parent = np.frombuffer(parent, dtype=np.int64)
         self._letter = np.frombuffer(letter, dtype=np.int64)
-        self._weight = np.frombuffer(weight, dtype=np.float64)
         self._leaf = np.frombuffer(leaf, dtype=np.int64)
         self._word_cost = np.frombuffer(word_cost, dtype=np.float64)
         self._table: LetterTable = table
@@ -169,11 +168,6 @@ class CodeTree:
 
     def is_leaf(self, v: int) -> bool:
         return self._leaf.item(v) >= 0
-
-    def sum_branching(self) -> int:
-        """Total number of children over all internal nodes: every node but
-        the root is exactly one node's child."""
-        return self.num_nodes - 1
 
     # -- codewords -------------------------------------------------------
 
@@ -242,20 +236,40 @@ class CodeTree:
 
     # -- decomposition identities ---------------------------------------
 
+    def _slot_ranges(self) -> tuple[list[int], list[int]]:
+        """First and last sorted slot under every node: children follow their
+        parent, so one reverse pass folds each subtree into its root."""
+        parent = self._parent.tolist()
+        leaf = self._leaf.tolist()
+        first = [k if k >= 0 else self.n for k in leaf]
+        last = leaf[:]
+        for v in range(len(parent) - 1, 0, -1):
+            p = parent[v]
+            first[p] = min(first[p], first[v])
+            last[p] = max(last[p], last[v])
+        return first, last
+
+    def _weights(self) -> np.ndarray:
+        """Every node's mass, the float its split read: a leaf's probability,
+        an internal node's prefix-sum difference over its slot range."""
+        first, last = (np.array(x, dtype=np.int64) for x in self._slot_ranges())
+        P = self.input.prefix
+        return np.where(self._leaf >= 0, self.input.probs[first], P[last + 1] - P[first])
+
     def cost_decomposition(self) -> float:
         """C(T) recomputed as sum over non-root nodes of c_letter * weight."""
         lc = np.asarray(self._table.costs, dtype=np.float64)
-        return float(np.dot(lc[self._letter], self._weight))
+        return float(np.dot(lc[self._letter], self._weights()))
 
     def entropy_decomposition(self) -> float:
         """H(p) recomputed as the weighted sum of per-split child entropies.
 
         Each child's share is taken of its siblings' summed weight, not of
-        the parent's stored weight, which can round to 0 while the children
-        hold subnormal masses.
+        the parent's weight, which can round to 0 while the children hold
+        subnormal masses.
         """
         parent = self._parent[1:]
-        w = self._weight[1:]
+        w = self._weights()[1:]
         pw = np.bincount(parent, weights=w)[parent]
         mask = w > 0.0
         return float(np.sum(-w[mask] * np.log2(w[mask] / pw[mask])))
@@ -306,8 +320,7 @@ class CodeTree:
             else:
                 parts.append('{"children":[')
                 stack.append(f'],"letter_index":{letter[v]}}}')
-                kids = sorted(children[v], key=letter.__getitem__)
-                for k, u in enumerate(reversed(kids)):
+                for k, u in enumerate(reversed(children[v])):
                     if k:
                         stack.append(",")
                     stack.append(u)
@@ -409,21 +422,20 @@ class _Walk:
         self.views = ([x.tolist() for x in data] if pinput.n < _VECTOR_SLOTS
                       else [memoryview(x) for x in data])
         # The root; every other node is some level's child.
-        self.buffers = (array("q", [-1]), array("q", [0]),
-                        array("d", [self.views[1][-1] - self.views[1][0]]),
-                        array("q", [-1]), array("d", [0.0]))
+        self.buffers = (array("q", [-1]), array("q", [0]), array("q", [-1]),
+                        array("d", [0.0]))
         self.chunks = []
         self.base = 0  # nodes in the chunks
         self.depth = self.left_shifts = self.right_shifts = self.bins = 0
 
     def arrays(self):
-        """parent, letter, weight, leaf and word cost of every node: the
-        root, then the vector levels' chunks, then the scalar levels."""
+        """parent, letter, leaf and word cost of every node: the root, then
+        the vector levels' chunks, then the scalar levels."""
         if not self.chunks:
             return self.buffers
         return [np.concatenate((view[:1], *chunks, view[1:]))
                 for chunks, view in zip(zip(*self.chunks),
-                                        map(np.frombuffer, self.buffers, "qqdqd"))]
+                                        map(np.frombuffer, self.buffers, "qqqd"))]
 
     def vector_levels(self, level: list) -> list:
         """Split level after level in numpy while a level holds at least
@@ -440,7 +452,7 @@ class _Walk:
         probs, P, s = self.views
         t = self.t
         lcosts, cum, ensure = self.table.costs, self.table.cum, self.table.ensure
-        parent, letter, weight, leaf, word_cost = self.buffers
+        parent, letter, leaf, word_cost = self.buffers
         base = self.base
         bins = lefts = rights = depth = 0
         while level:
@@ -457,13 +469,9 @@ class _Walk:
                     ranges = [(l, r, 1)]
                 for a, b, m in ranges:
                     c = wc + lcosts[m]
-                    if a == b:
-                        weight.append(probs[a])
-                        leaf.append(a)
-                    else:
+                    if a < b:
                         nxt.append((a, b, base + len(parent), c))
-                        weight.append(P[b + 1] - P[a])
-                        leaf.append(-1)
+                    leaf.append(-1 if a < b else a)
                     parent.append(v)
                     letter.append(m)
                     word_cost.append(c)
@@ -477,15 +485,12 @@ class _Walk:
     def emit(self, parent, letter, a, b, word_cost):
         """Append a level's children, given as arrays in level order, and
         return the internal ones as the next level."""
-        pin = self.pin
         nodes = self.base + len(self.buffers[0])
         ids = np.arange(nodes, nodes + len(a))
-        leaf = a == b
-        weight = np.where(leaf, pin.probs[a], pin.prefix[b + 1] - pin.prefix[a])
-        self.chunks.append((parent, letter, weight, np.where(leaf, a, -1), word_cost))
+        inner = a < b
+        self.chunks.append((parent, letter, np.where(inner, -1, a), word_cost))
         self.base += len(a)
         self.depth += 1
-        inner = ~leaf
         return a[inner], b[inner], ids[inner], word_cost[inner]
 
     def vector_level(self, l, r, v, wc):
@@ -660,17 +665,7 @@ def split_trace(tree: CodeTree) -> list[dict]:
     table = tree._table
     finite_t = int(tree.spec.alphabet_size) if tree.spec.is_finite_alphabet else 0
 
-    # Slot range of every node: children follow their parent, so one
-    # reverse pass folds each subtree into its root.
-    parent = tree._parent.tolist()
-    leaf = tree._leaf.tolist()
-    first = [k if k >= 0 else tree.n for k in leaf]
-    last = leaf[:]
-    for v in range(len(parent) - 1, 0, -1):
-        p = parent[v]
-        first[p] = min(first[p], first[v])
-        last[p] = max(last[p], last[v])
-
+    first, last = tree._slot_ranges()
     records = []
     for v, (l, r) in enumerate(zip(first, last)):
         if l == r:  # a leaf, or the root of a one-symbol input

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CostSpecError, DivergentSpecError
+from .errors import CostSpecError
 
 FINITE_LIST = "FiniteList"
 INTEGER_PROFILE = "IntegerProfile"
@@ -31,7 +31,7 @@ INTEGER_PROFILE = "IntegerProfile"
 # sharper multiplicity bounds).
 INTEGER_SNAP = 1e-9
 
-_DEFAULT_ROOT_TOL = 1e-12
+_ROOT_TOL = 1e-12
 
 # Walks over an infinite alphabet stop with CostSpecError past this level.
 _MAX_LEVEL = 10 ** 7
@@ -220,7 +220,7 @@ class BalancedWordsFamily(ProfileFamily):
     def closed_root(self):
         # The characteristic sum reaches 1 exactly at the convergence boundary
         # z = 1/2; its slope is infinite there, which is why this root is not
-        # reachable by bisection to the requested tolerance.
+        # reachable by bisection to `_ROOT_TOL`.
         return 1.0
 
     def max_multiplicity(self):
@@ -601,16 +601,15 @@ class CharRoot:
     tail_convergent: bool
 
 
-def char_root(spec: CostSpec, tol: float = _DEFAULT_ROOT_TOL) -> CharRoot:
+def char_root(spec: CostSpec) -> CharRoot:
     """Solve 1 = sum_i 2^(-c*c_i) for c > 0.
 
     Built-in profile families use exact algebraic roots; finite lists and
     custom profiles use doubling to bracket the decreasing characteristic sum
-    followed by bisection to `tol`.  Those have at least 2 letters or an
-    infinite tail, so the sum exceeds 1 as c -> 0 and a root always exists.
+    followed by bisection to `_ROOT_TOL`.  Those have at least 2 letters or an
+    infinite tail, so the sum exceeds 1 as c -> 0 and a root always exists;
+    the bracket closes within 10 doublings.
     """
-    if tol <= 0.0:
-        raise CostSpecError("tolerance must be positive")
     if not spec.is_normalized:
         raise CostSpecError("normalize the spec first (cheapest letter must cost 1)")
 
@@ -621,16 +620,10 @@ def char_root(spec: CostSpec, tol: float = _DEFAULT_ROOT_TOL) -> CharRoot:
     else:
         lo = 0.0
         hi = 1.0
-        doublings = 0
         while spec.char_sum(hi) >= 1.0:
             lo = hi
             hi *= 2.0
-            doublings += 1
-            if doublings > 60:
-                raise DivergentSpecError("could not bracket the characteristic root")
-        for _ in range(200):
-            if hi - lo <= tol:
-                break
+        while hi - lo > _ROOT_TOL:
             mid = 0.5 * (lo + hi)
             if spec.char_sum(mid) >= 1.0:
                 lo = mid

@@ -26,12 +26,6 @@ class ProbInputError(VarncodeError):
     exit_code = 2
 
 
-class DivergentSpecError(VarncodeError):
-    """The characteristic sum diverges everywhere it was asked to be evaluated."""
-
-    reason = "divergent_spec"
-
-
 class DivergentTailError(VarncodeError):
     """The cost-weighted tail sum of the alphabet diverges at the characteristic root."""
 

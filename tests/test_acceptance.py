@@ -118,8 +118,8 @@ def test_criterion_3_bound_satisfaction_sweep():
             bad.append(f"instance {i}: not prefix free")
         if tree.kraft_sum() > 1.0 + 1e-9:
             bad.append(f"instance {i}: kraft {tree.kraft_sum()!r}")
-        if tree.sum_branching() > 2 * n - 1:
-            bad.append(f"instance {i}: branching {tree.sum_branching()} n={n}")
+        if tree.num_nodes - 1 > 2 * n - 1:
+            bad.append(f"instance {i}: branching {tree.num_nodes - 1} n={n}")
         rep = report(tree)
         for b in rep.bounds:
             if b.applicable and rep.nr > b.value + 1e-7:

@@ -458,7 +458,6 @@ def test_exit_oracle_errors(capsys):
 ERROR_MAPPING = {
     "CostSpecError": ("parse", 2),
     "ProbInputError": ("parse", 2),
-    "DivergentSpecError": ("divergent_spec", 3),
     "DivergentTailError": ("divergent_tail", 3),
     "BinUnderflowError": ("bin_underflow", 3),
     "OracleTooLargeError": ("oracle_too_large", 4),
@@ -479,6 +478,17 @@ def test_every_error_maps_to_its_reason_and_exit_code(capsys, monkeypatch):
         assert err == f"error {reason}: boom\n"
         assert code == exit_code == cls.exit_code
         assert out == ""
+
+
+@pytest.mark.parametrize("command", ["root", "code", "bounds", "compare", "bench"])
+def test_root_tolerance_is_not_an_option(capsys, command):
+    argv = [command, "--costs", "linear", "--tol", "1e-3"]
+    if command in ("code", "bounds", "compare"):
+        argv += ["--inline", "1.0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
 def test_dominator_option_is_rejected(capsys):

@@ -318,7 +318,7 @@ def test_random_builds_are_prefix_free_with_kraft():
         words = [tree.codeword_letters(i) for i in range(n)]
         assert verify_prefix_free(words)
         assert tree.kraft_sum() <= 1.0 + 1e-9
-        assert tree.sum_branching() <= 2 * n - 1
+        assert tree.num_nodes - 1 <= 2 * n - 1
         assert tree.stats.max_depth >= 1
 
 
@@ -485,7 +485,7 @@ def test_trace_invariants_random():
         pin = prepare(p, normalize=True)
         tree = build_code(pin, spec, root)
         check_trace(tree, spec, root)
-        assert sum(len(e["bins"]) for e in split_trace(tree)) == tree.sum_branching()
+        assert sum(len(e["bins"]) for e in split_trace(tree)) == tree.num_nodes - 1
 
 
 BIN_KEYS = ("letter", "lo", "hi", "initial", "final", "initial_weight", "final_weight")

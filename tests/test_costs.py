@@ -265,13 +265,18 @@ def test_root_requires_normalized_spec():
     assert char_root(finite_list([2.0, 3.0]).normalize()).value > 0.0
 
 
-def test_root_tolerance_argument():
-    with pytest.raises(CostSpecError):
-        char_root(telegraph(), tol=0.0)
-    loose = char_root(finite_list([1.0, 1.7, 2.9]), tol=1e-4)
-    tight = char_root(finite_list([1.0, 1.7, 2.9]), tol=1e-12)
-    assert abs(loose.value - tight.value) <= loose.tolerance + tight.tolerance
-    assert tight.tolerance <= 1e-12
+def test_root_brackets_the_largest_profile_coefficient():
+    """1e300 letters of cost 1: the bracket doubles 10 times to [512, 1024],
+    as many times as any profile coefficient below the float maximum needs."""
+    root = char_root(parse_cost_spec("profile:1e300"))
+    assert abs(root.value - math.log2(1e300)) < 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="char_root bisects to an "
+                   "absolute 1e-12; a relative tolerance is ROADMAP direction 3")
+def test_root_resolves_a_tiny_root():
+    # 2^-c + 2^(-c*1e300) = 1 at c about 9.9e-298; the bisection stops at 4.5e-13.
+    assert char_root(parse_cost_spec("finite:1,1e300")).value < 1e-290
 
 
 # ---------------------------------------------------------------------------

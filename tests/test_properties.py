@@ -15,7 +15,6 @@ import io
 import json
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -130,8 +129,8 @@ def test_build_is_prefix_free_and_its_trace_is_the_tree(spec_text, weights):
 
 
 def _build_on_one_path(slots, spec_text, weights):
-    """The five node arrays built with every level of at least `slots` slots
-    on the numpy path, or the type of the error raised."""
+    """The tree built with every level of at least `slots` slots on the numpy
+    path, or the type of the error raised."""
     spec = parse_cost_spec(spec_text)
     pin = prepare(weights, normalize=True)
     saved = coder._VECTOR_SLOTS
@@ -142,8 +141,15 @@ def _build_on_one_path(slots, spec_text, weights):
         return type(exc)
     finally:
         coder._VECTOR_SLOTS = saved
-    return [a.tobytes() for a in (tree._parent, tree._letter, tree._weight,
-                                  tree._leaf, tree._word_cost)]
+    return tree
+
+
+def _node_arrays(tree):
+    """The four node arrays' bytes, or the error type in place of a tree."""
+    if isinstance(tree, type):
+        return tree
+    return [a.tobytes() for a in (tree._parent, tree._letter, tree._leaf,
+                                  tree._word_cost)]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -156,18 +162,17 @@ def _build_on_one_path(slots, spec_text, weights):
 # A zero-width block over positive subnormals: its leaves weigh probs[a].
 @example(spec_text="finite:1,1", weights=[1.0, 5e-324, 5e-324, 5e-324])
 def test_numpy_and_scalar_split_paths_build_the_same_tree(spec_text, weights):
-    vector = _build_on_one_path(2, spec_text, weights)
-    scalar = _build_on_one_path(10 ** 9, spec_text, weights)
+    vector = _node_arrays(_build_on_one_path(2, spec_text, weights))
+    scalar = _node_arrays(_build_on_one_path(10 ** 9, spec_text, weights))
     assert vector == scalar
 
 
 def test_zero_width_block_over_subnormals_keeps_their_weights():
     weights = [1.0, 5e-324, 5e-324, 5e-324]
     for slots in (2, 10 ** 9):
-        _, _, weight, leaf, _ = _build_on_one_path(slots, "finite:1,1", weights)
-        weight = np.frombuffer(weight)
-        leaf = np.frombuffer(leaf, dtype=np.int64)
-        assert sorted(weight[leaf >= 0].tolist()) == [5e-324] * 3 + [1.0]
+        tree = _build_on_one_path(slots, "finite:1,1", weights)
+        weight = tree._weights()
+        assert sorted(weight[tree._leaf >= 0].tolist()) == [5e-324] * 3 + [1.0]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

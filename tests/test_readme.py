@@ -42,6 +42,7 @@ def test_oracle_limit_counts_letters():
 
 def test_readme_names_no_removed_option():
     assert "dominator" not in README
+    assert "--tol" not in README
 
 
 def test_cli_block_runs(tmp_path, monkeypatch, capsys):

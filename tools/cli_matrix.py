@@ -47,6 +47,9 @@ PARSE_ERRORS = (
     ("compare", "--costs", "finite:1,1,1,1,1", "--gen", "uniform:3"),
     ("oracle", "--costs", "finite:1,2", "--inline", "0.5,0.5", "--cap", "0.5"),
 )
+# Roots at both ends of the root bracket: the largest profile coefficient's,
+# and one far below the bisection's absolute tolerance.
+EXTREME_ROOTS = ("profile:1e300", "finite:1,1e300")
 
 
 def cases():
@@ -64,6 +67,9 @@ def cases():
                 for eps in EPSILONS[:3]:
                     yield ("compare",) + costs + inp + fmt + eps
     yield from PARSE_ERRORS
+    for spec in EXTREME_ROOTS:
+        for fmt in FORMATS:
+            yield ("root", "--costs", spec) + fmt
 
 
 def run(main, argv):
