@@ -245,8 +245,13 @@ class CustomProfileFamily(ProfileFamily):
         self.tail = tail
         # A repeat tail of d_J = 0 ends the alphabet at level J, like a zero tail.
         self.repeats = tail == "repeat" and prefix[-1] > 0
-        if not self.repeats and sum(prefix) < 2:
+        total = math.inf if self.repeats else sum(prefix)
+        if total < 2:
             raise CostSpecError("profile must supply at least 2 letters")
+        try:
+            self._total = float(total)
+        except OverflowError:
+            raise CostSpecError("profile letter count exceeds the float range") from None
 
     def multiplicity(self, j):
         if j <= len(self.prefix):
@@ -277,7 +282,7 @@ class CustomProfileFamily(ProfileFamily):
         return head + self.prefix[-1] * _geom_weighted_tail(z, max(above, J))
 
     def total_letters(self):
-        return math.inf if self.repeats else float(sum(self.prefix))
+        return self._total
 
     def max_multiplicity(self):
         return float(max(self.prefix))

@@ -11,12 +11,25 @@ smallest cost (rearrangement), so states are compared by that value alone.
 The lower bound completes a state with the cheapest n - |done| words reachable
 from the frontier, generated in cost order from a heap; this never exceeds the
 value of any true completion, so pruning is exact.
+
+Equal-cost words decide in order.  When every child costs strictly more than
+its parent, all words of the head's cost are already in the frontier and are
+processed one after another, and two of them can swap their decisions (leaf,
+or expand by k letters) without changing any cost multiset.  So when the next
+head ties the current one, it may take no smaller decision than the one just
+made: each multiset of decisions is searched once, in non-decreasing order,
+which is the order the depth-first search meets first, so the optimum and its
+witness words are the ones the unpruned search finds.  The rule holds only if
+no letter cost is absorbed in float, so it is on only when the cheapest letter
+exceeds ulp(n * c_t), an upper bound on the ulp of every word cost searched:
+finite:1e-300,1 normalises to costs 1 and 1e300, and 1e300 + 1 == 1e300.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 from .coder import ProbInput
@@ -80,7 +93,7 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
         )
 
     def value_of(sorted_costs):
-        return math.fsum(p * w for p, w in zip(probs, sorted_costs))
+        return math.fsum(map(operator.mul, probs, sorted_costs))
 
     def greedy_complete():
         # Expand the cheapest node with as many letters as still fit.
@@ -98,22 +111,17 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
         best_leaves = None
         best_value = math.inf
 
-    def lower_bound(frontier, done, need):
-        # Cheapest `need` words reachable from the frontier, by cost order.
-        heap = list(frontier)
-        heapq.heapify(heap)
-        picked = []
-        while len(picked) < need:
-            cost = heapq.heappop(heap)
-            picked.append(cost)
-            for ci in costs:
-                heapq.heappush(heap, cost + ci)
-        return value_of(sorted(done + picked))
-
+    # The equal-cost symmetry rule needs every child to cost more than its
+    # parent (see the module docstring).
+    symmetric = math.ulp(n * costs[-1]) < costs[0]
+    heappop, heappush = heapq.heappop, heapq.heappush
     nodes = 0
 
-    def search(frontier, done):
-        # frontier: ascending list of (cost, word); done: list of (cost, word)
+    def search(frontier, done, kmin):
+        # frontier: ascending list of (cost, word); done: list of (cost, word),
+        # ascending in cost, as heads are taken in cost order; kmin: the least
+        # decision (1 = leaf, k = expand by k letters) the head may take.
+        # |done| + |frontier| never exceeds n, so a leaf always fits.
         nonlocal best_value, best_leaves, nodes
         nodes += 1
         if not frontier:
@@ -123,25 +131,37 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
                     best_value = value
                     best_leaves = sorted(done)
             return
-        slots = len(done) + len(frontier)
-        need = n - len(done)
-        lb = lower_bound([w for w, _ in frontier], [w for w, _ in done], need)
+        # Lower bound: complete the state with the cheapest n - |done| words
+        # reachable from the frontier, popped in cost order from a heap seeded
+        # with the whole frontier (an ascending list is a heap).  No pick
+        # costs less than a done word, so done + picks is ascending as built.
+        completion = [w for w, _ in done]
+        heap = [w for w, _ in frontier]
+        for _ in range(n - len(done) - 1):
+            w = heappop(heap)
+            completion.append(w)
+            for ci in costs:
+                heappush(heap, w + ci)
+        completion.append(heap[0])
+        lb = value_of(completion)
         if lb > cap_used + _CAP_SLACK:
             return
         if best_leaves is not None and lb >= best_value - _IMPROVE:
             return
         head, rest = frontier[0], frontier[1:]
-        # finalize the cheapest frontier word as a leaf
-        if slots <= n:
-            search(rest, done + [head])
-        # or expand it with the k cheapest letters
-        max_k = min(t, n - slots + 1)
         cost, word = head
-        for k in range(2, max_k + 1):
-            children = [(cost + costs[i], word + (i + 1,)) for i in range(k)]
-            search(sorted(rest + children), done)
+        # children cost more, so a tie can only be the next frontier word
+        tied = symmetric and bool(rest) and rest[0][0] == cost
+        # finalize the cheapest frontier word as a leaf
+        if kmin == 1:
+            search(rest, done + [head], 1)
+        # or expand it with the k cheapest letters
+        max_k = min(t, n - len(done) - len(frontier) + 1)
+        children = [(cost + costs[i], word + (i + 1,)) for i in range(max_k)]
+        for k in range(max(2, kmin), max_k + 1):
+            search(sorted(rest + children[:k]), done, k if tied else 1)
 
-    search([(0.0, ())], [])
+    search([(0.0, ())], [], 1)
     if best_leaves is None:
         raise CapTooSmallError("no prefix-free code exists at or below the cap")
     return OracleResult(

@@ -435,6 +435,12 @@ def test_probs_summing_past_the_float_range(capsys):
     assert out == run(capsys, *argv, "0.5,0.5")[1]
 
 
+def test_profile_letter_count_past_the_float_range_exits_parse(capsys):
+    code, _, err = run(capsys, "root", "--costs", "profile:1e308,1e308")
+    assert code == EXIT_PARSE
+    assert err.startswith("error parse:")
+
+
 def test_exit_numeric_underflow(capsys):
     code, _, err = run(capsys, "code", "--costs", "finite:1,1",
                        "--gen", "dyadic:90")

@@ -381,6 +381,14 @@ def test_custom_profile_validation():
         custom_profile([1, 2], tail="bounce")
 
 
+def test_profile_letter_count_past_the_float_range_is_a_spec_error():
+    # 2e308 letters: the total would overflow float where char_root reads it.
+    for text in ("profile:1e308,1e308", "profile:1e308,1e308,0;tail=repeat"):
+        with pytest.raises(CostSpecError, match="float range"):
+            parse_cost_spec(text)
+    assert parse_cost_spec("profile:1e308,1e307").alphabet_size == 1.1e308
+
+
 def test_custom_profile_char_sum_matches_truncation():
     fam = CustomProfileFamily([2, 0, 1], tail="repeat")
     z = 0.4

@@ -1,5 +1,6 @@
 """Tests for the exact small-instance oracle and equal-cost cross-check."""
 
+import heapq
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 
 from varncode import (
     CapTooSmallError,
+    OracleResult,
     OracleTooLargeError,
     build_code,
     char_root,
@@ -225,3 +227,141 @@ def test_cap_semantics():
     assert open_search.opt_cost == capped.opt_cost
     # a tight cap prunes at least as hard as no cap
     assert capped.nodes_explored <= open_search.nodes_explored
+
+
+# ---------------------------------------------------------------------------
+# the pruned search against the unpruned one
+# ---------------------------------------------------------------------------
+
+def _reference_exact_opt(pinput, spec, cap=None):
+    """exact_opt's search without its equal-cost symmetry rule.
+
+    Every order of decisions over equal-cost words is searched, and the lower
+    bound heaps every child of every pick.  The decisions are tried in the
+    same depth-first order, so the results must be exact_opt's; only the
+    number of states searched may differ.
+    """
+    t = int(spec.alphabet_size)
+    n = pinput.n
+    costs = [spec.letter_cost(m) for m in range(1, t + 1)]
+    probs = pinput.probs.tolist()
+    cap_used = math.inf if cap is None else float(cap)
+    improve, slack = 1e-12, 1e-9
+
+    if n == 1:
+        value = probs[0] * costs[0]
+        if value > cap_used + slack:
+            raise CapTooSmallError("single codeword already exceeds the cap")
+        return OracleResult(value, (costs[0],), 1, cap_used, ((1,),))
+
+    def value_of(sorted_costs):
+        return math.fsum(p * w for p, w in zip(probs, sorted_costs))
+
+    heap = [(0.0, ())]
+    while len(heap) < n:
+        cost, word = heapq.heappop(heap)
+        for i in range(min(t, n - len(heap))):
+            heapq.heappush(heap, (cost + costs[i], word + (i + 1,)))
+    best_leaves = sorted(heap)
+    best_value = value_of([w for w, _ in best_leaves])
+    if best_value > cap_used + slack:
+        best_leaves, best_value = None, math.inf
+
+    def lower_bound(frontier, done, need):
+        heap = list(frontier)
+        heapq.heapify(heap)
+        picked = []
+        while len(picked) < need:
+            cost = heapq.heappop(heap)
+            picked.append(cost)
+            for ci in costs:
+                heapq.heappush(heap, cost + ci)
+        return value_of(sorted(done + picked))
+
+    nodes = 0
+
+    def search(frontier, done):
+        nonlocal best_value, best_leaves, nodes
+        nodes += 1
+        if not frontier:
+            if len(done) == n:
+                value = value_of(sorted(w for w, _ in done))
+                if value < best_value - improve and value <= cap_used + slack:
+                    best_value = value
+                    best_leaves = sorted(done)
+            return
+        slots = len(done) + len(frontier)
+        need = n - len(done)
+        lb = lower_bound([w for w, _ in frontier], [w for w, _ in done], need)
+        if lb > cap_used + slack:
+            return
+        if best_leaves is not None and lb >= best_value - improve:
+            return
+        head, rest = frontier[0], frontier[1:]
+        if slots <= n:
+            search(rest, done + [head])
+        cost, word = head
+        for k in range(2, min(t, n - slots + 1) + 1):
+            children = [(cost + costs[i], word + (i + 1,)) for i in range(k)]
+            search(sorted(rest + children), done)
+
+    search([(0.0, ())], [])
+    if best_leaves is None:
+        raise CapTooSmallError("no prefix-free code exists at or below the cap")
+    return OracleResult(best_value, tuple(w for w, _ in best_leaves), nodes, cap_used,
+                        tuple(word for _, word in best_leaves))
+
+
+def _outcome(search, pin, spec, cap):
+    """(cost hex, codeword cost hexes, words) and nodes, or ('cap', 0)."""
+    try:
+        res = search(pin, spec, cap=cap)
+    except CapTooSmallError:
+        return "cap", 0
+    costs = tuple(w.hex() for w in res.opt_codeword_costs)
+    return (res.opt_cost.hex(), costs, res.opt_words), res.nodes_explored
+
+
+def assert_matches_reference(pin, spec, cap):
+    """Same optimum, witness and refusals as the reference; no more states.
+
+    Returns the reference's optimum, or None when it refused the cap, and
+    both state counts.
+    """
+    got, nodes = _outcome(exact_opt, pin, spec, cap)
+    want, ref_nodes = _outcome(_reference_exact_opt, pin, spec, cap)
+    assert got == want
+    assert nodes <= ref_nodes
+    opt = None if want == "cap" else float.fromhex(want[0])
+    return opt, nodes, ref_nodes
+
+
+# finite:1e-300,1 normalises to costs 1 and 1e300, whose sum absorbs the 1.
+REFERENCE_SPECS = ("finite:1,2", "finite:1,1", "finite:1,1,5", "finite:1,1,1,1",
+                   "finite:1,1.14,1.75", "telegraph", "rll:1,3", "profile:1,1",
+                   "finite:1e-300,1")
+
+
+@pytest.mark.parametrize("spec_text", REFERENCE_SPECS)
+def test_exact_opt_matches_the_unpruned_search(spec_text):
+    spec = parse_cost_spec(spec_text)
+    root = char_root(spec)
+    rng = np.random.default_rng(10)
+    total = ref_total = 0
+    for n in range(2, 11):
+        for alpha in (0.25, 1.0, 4.0):
+            pin = prepare(rng.dirichlet([alpha] * n))
+            built = build_code(pin, spec, root).cost()
+            opt, nodes, ref_nodes = assert_matches_reference(pin, spec, None)
+            # the built code's cost, and a cap below the optimum
+            for cap in (built, opt * (1.0 - 1e-6)):
+                _, more, ref_more = assert_matches_reference(pin, spec, cap)
+                nodes += more
+                ref_nodes += ref_more
+            total += nodes
+            ref_total += ref_nodes
+    if spec_text == "finite:1e-300,1":
+        # absorption turns the symmetry rule off: the same states are searched
+        assert total == ref_total
+    else:
+        assert total < ref_total

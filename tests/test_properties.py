@@ -4,9 +4,10 @@ Any spec and vector either build a prefix-free code within the Kraft bound
 or raise BinUnderflowError; the numpy and the scalar split paths build the
 same tree bit for bit; split_trace describes exactly the tree it was
 derived from; every bound row the report applies holds, and the cost and
-entropy decompositions add up; approx_bound stops at the first cost level
-whose weighted tail fits; and the CLI maps any JSON array in a --probs
-file to a documented exit code.  Examples come from a fixed seed, so the
+entropy decompositions add up; the exact oracle finds what its unpruned
+search finds; approx_bound stops at the first cost level whose weighted
+tail fits; and the CLI maps any JSON array in a --probs file to a
+documented exit code.  Examples come from a fixed seed, so the
 suite is reproducible.
 """
 
@@ -34,6 +35,8 @@ from varncode import (
     verify_prefix_free,
 )
 from varncode.cli import main
+
+from test_oracle import assert_matches_reference
 
 FAMILIES = ("linear", "fib", "balanced", "telegraph", "repeat:1", "repeat:3",
             "rll:1,3", "rll:2,5")
@@ -194,6 +197,31 @@ def test_applicable_bounds_hold_and_decompositions_add_up(spec_text, weights,
     assert abs(tree.cost_decomposition() - rep.cost) <= 1e-9 * max(1.0, rep.cost)
     assert (abs(tree.entropy_decomposition() - rep.entropy)
             <= 1e-9 * max(1.0, rep.entropy))
+
+
+# Up to four letters drawn from at most three costs, so letters tie on purpose.
+# 1e-300 beside an ordinary cost normalises it to about 1e300, which absorbs
+# the cheapest letter in a sum.
+oracle_specs = st.lists(
+    st.one_of(st.sampled_from((1.0, 2.0, 1e-300)), st.floats(1.0, 5.0)),
+    min_size=1, max_size=3, unique=True,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=4)).map(
+    lambda costs: "finite:" + ",".join(map(repr, costs)))
+# n >= 4: fewer symbols leave the search nothing to prune.
+oracle_vectors = st.lists(masses, min_size=4, max_size=7).filter(
+    lambda ws: any(w > 0.0 for w in ws))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec_text=oracle_specs, weights=oracle_vectors)
+def test_exact_opt_matches_the_unpruned_search(spec_text, weights):
+    spec = parse_cost_spec(spec_text)
+    pin = prepare(weights, normalize=True)
+    caps = [None]
+    with contextlib.suppress(BinUnderflowError):
+        caps.append(build_code(pin, spec, char_root(spec)).cost())
+    for cap in caps:
+        assert_matches_reference(pin, spec, cap)
 
 
 def _letter_levels(spec):

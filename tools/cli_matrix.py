@@ -39,6 +39,7 @@ PARSE_ERRORS = (
     ("root", "--costs", "profile:1,-2"),
     ("root", "--costs", "profile:1;tail=zero"),
     ("root", "--costs", "repeat:2.5"),
+    ("root", "--costs", "profile:1e308,1e308"),
     ("root",),
     ("code", "--costs", "linear", "--gen", "nope:3"),
     ("code", "--costs", "linear", "--inline", "0.5,x"),
@@ -50,6 +51,8 @@ PARSE_ERRORS = (
 # Roots at both ends of the root bracket: the largest profile coefficient's,
 # and one far below the bisection's absolute tolerance.
 EXTREME_ROOTS = ("profile:1e300", "finite:1,1e300")
+# The oracle at the largest n it takes, the size its audits search.
+ORACLE_INPUT = ("--gen", "zipf:1.0,10")
 
 
 def cases():
@@ -70,6 +73,9 @@ def cases():
     for spec in EXTREME_ROOTS:
         for fmt in FORMATS:
             yield ("root", "--costs", spec) + fmt
+    for spec in SPECS:
+        for fmt in FORMATS:
+            yield ("oracle", "--costs", spec) + ORACLE_INPUT + fmt
 
 
 def run(main, argv):
