@@ -33,7 +33,6 @@ from .coder import (
     build_code,
     prepare,
     split_trace,
-    verify_prefix_free,
 )
 from .costs import (
     CharRoot,
@@ -57,4 +56,4 @@ from .errors import (
     ProbInputError,
     VarncodeError,
 )
-from .oracle import OracleResult, exact_opt, huffman_equal_cost
+from .oracle import OracleResult, exact_opt

@@ -3,8 +3,8 @@
 Subcommands: root (characteristic root), code (build + codewords + report),
 bounds (report only), oracle (exact small-instance optimum), compare (coder
 vs oracle), bench (build-time CSV, or per-layer timing JSON).  Exit codes:
-0 ok, 2 parse/input error, 3 numeric error (divergence, underflow), 4 oracle
-limits, 5 audit violation.
+0 ok (also when the reader closes stdout early), 2 parse/input error, 3
+numeric error (divergence, underflow), 4 oracle limits, 5 audit violation.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ EXIT_PARSE = 2
 EXIT_VIOLATION = 5
 
 _GAP_TOL = 1e-7
+# The absolute tolerances of compare's verdicts: OPT against the entropy
+# bound and against C(T); _GAP_TOL for the gap against the bound row.
+_COST_TOL = 1e-9
 _WRITE_BLOCK = 4096
 
 
@@ -289,12 +292,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     gap = rep.cost - res.opt_cost
     best = rep.min_applicable()
     gap_bound = best / c if best is not None else None
+    # Each verdict allows its absolute tolerance, or n ulps of the cost where
+    # that is more, as the oracle's cap test does.
+    scale = tree.n * math.ulp(max(rep.cost, res.opt_cost))
     violations = []
-    if rep.lower_bound > res.opt_cost + 1e-9:
+    if rep.lower_bound > res.opt_cost + max(_COST_TOL, scale):
         violations.append("entropy lower bound exceeds OPT")
-    if res.opt_cost > rep.cost + 1e-9:
+    if res.opt_cost > rep.cost + max(_COST_TOL, scale):
         violations.append("OPT exceeds the constructed cost")
-    if gap_bound is not None and gap > gap_bound + _GAP_TOL:
+    if gap_bound is not None and gap > gap_bound + max(_GAP_TOL, scale):
         violations.append("cost gap exceeds the bound")
     payload = {
         "cost": rep.cost,
@@ -505,7 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: that ends the output, not the run's
+        # success.  Point stdout at devnull so the interpreter's last flush
+        # writes nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (OSError, ValueError) as exc:
         print(f"error parse: {exc}", file=sys.stderr)
         return EXIT_PARSE

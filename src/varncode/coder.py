@@ -121,27 +121,30 @@ class CodeTree:
 
     Nodes are indexed 0..num_nodes-1 in level order with the root at 0, each
     node's children in ascending letter order, so parents precede children.
-    Leaves carry the sorted probability slot they encode; edge letters are
-    1-based letter indices (0 on the root).  The per-node arrays are numpy
-    views of the builder's output, and `stats` holds the build's counters.
+    Every node keeps its block [first, last] of sorted probability slots, as
+    the build split it; a leaf is a one-slot node other than the root, and
+    encodes that slot.  Edge letters are 1-based letter indices (0 on the
+    root).  The per-node arrays are numpy views of the builder's output, and
+    `stats` holds the build's counters.
     """
 
-    def __init__(self, spec, root, pinput, parent, letter, leaf, word_cost,
+    def __init__(self, spec, root, pinput, parent, letter, first, last, word_cost,
                  table, counts):
         self.spec: CostSpec = spec
         self.root: CharRoot = root
         self.input: ProbInput = pinput
         self._parent = np.frombuffer(parent, dtype=np.int64)
         self._letter = np.frombuffer(letter, dtype=np.int64)
-        self._leaf = np.frombuffer(leaf, dtype=np.int64)
+        self._first = np.frombuffer(first, dtype=np.int64)
+        self._last = np.frombuffer(last, dtype=np.int64)
         self._word_cost = np.frombuffer(word_cost, dtype=np.float64)
         self._table: LetterTable = table
         self._counts = counts  # depth, left and right shifts, bins evaluated
-        nodes = np.flatnonzero(self._leaf >= 0)
+        # The root of a one-symbol input holds one slot but is internal.
+        leaves = np.flatnonzero(self._first[1:] == self._last[1:]) + 1
         self._leaf_node = np.empty(pinput.n, dtype=np.int64)
-        self._leaf_node[self._leaf[nodes]] = nodes
+        self._leaf_node[self._first[leaves]] = leaves
         self._cost: float | None = None
-        self._iperm: np.ndarray | None = None
 
     # -- shape ----------------------------------------------------------
 
@@ -167,7 +170,7 @@ class CodeTree:
         return self._letter.item(v)
 
     def is_leaf(self, v: int) -> bool:
-        return self._leaf.item(v) >= 0
+        return v > 0 and self._first.item(v) == self._last.item(v)
 
     # -- codewords -------------------------------------------------------
 
@@ -181,31 +184,6 @@ class CodeTree:
         if self._cost is None:
             self._cost = float(np.dot(self.input.probs, self.leaf_costs))
         return self._cost
-
-    def _sorted_slot(self, original_index: int) -> int:
-        n = self.n
-        if not 0 <= original_index < n:
-            raise ValueError(f"unknown symbol index {original_index}")
-        if self._iperm is None:
-            inv = np.empty(n, dtype=np.int64)
-            inv[self.input.perm] = np.arange(n, dtype=np.int64)
-            self._iperm = inv
-        return int(self._iperm[original_index])
-
-    def codeword_letters(self, original_index: int) -> tuple[int, ...]:
-        v = int(self._leaf_node[self._sorted_slot(original_index)])
-        letters = []
-        parent = self._parent.item  # .item reads a Python int, no numpy scalar
-        letter = self._letter.item
-        while v:  # only the root, node 0, has no parent
-            letters.append(letter(v))
-            v = parent(v)
-        letters.reverse()
-        return tuple(letters)
-
-    def codeword_cost(self, original_index: int) -> float:
-        slot = self._sorted_slot(original_index)
-        return float(self._word_cost[self._leaf_node[slot]])
 
     def _symbol_words(self, piece) -> tuple[list, list[float]]:
         """Every symbol's codeword and cost, in original symbol order.
@@ -230,31 +208,14 @@ class CodeTree:
         words, costs = self._symbol_words(lambda m: (m,))
         return zip(range(self.n), words, costs)
 
-    def kraft_sum(self) -> float:
-        """sum_k 2^(-c * cost of codeword k); at most 1 for any prefix-free code."""
-        return float(np.sum(np.exp2(-self.root.value * self.leaf_costs)))
-
     # -- decomposition identities ---------------------------------------
 
-    def _slot_ranges(self) -> tuple[list[int], list[int]]:
-        """First and last sorted slot under every node: children follow their
-        parent, so one reverse pass folds each subtree into its root."""
-        parent = self._parent.tolist()
-        leaf = self._leaf.tolist()
-        first = [k if k >= 0 else self.n for k in leaf]
-        last = leaf[:]
-        for v in range(len(parent) - 1, 0, -1):
-            p = parent[v]
-            first[p] = min(first[p], first[v])
-            last[p] = max(last[p], last[v])
-        return first, last
-
     def _weights(self) -> np.ndarray:
-        """Every node's mass, the float its split read: a leaf's probability,
-        an internal node's prefix-sum difference over its slot range."""
-        first, last = (np.array(x, dtype=np.int64) for x in self._slot_ranges())
+        """Every node's mass, the float its split read: a one-slot node's
+        probability, a larger block's prefix-sum difference."""
+        first, last = self._first, self._last
         P = self.input.prefix
-        return np.where(self._leaf >= 0, self.input.probs[first], P[last + 1] - P[first])
+        return np.where(first == last, self.input.probs[first], P[last + 1] - P[first])
 
     def cost_decomposition(self) -> float:
         """C(T) recomputed as sum over non-root nodes of c_letter * weight."""
@@ -276,24 +237,6 @@ class CodeTree:
 
     # -- serialization ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """Nested {letter_index, children | leaf_index} form of the tree."""
-        perm = self.input.perm.tolist()
-        nodes = []
-        for m, s in zip(self._letter.tolist(), self._leaf.tolist()):
-            d = {"letter_index": m}
-            if s >= 0:
-                d["leaf_index"] = perm[s]
-            else:
-                d["children"] = []
-            nodes.append(d)
-        for v, p in enumerate(self._parent.tolist()[1:], start=1):
-            nodes[p]["children"].append(nodes[v])
-        for d in nodes:
-            if "children" in d:
-                d["children"].sort(key=lambda ch: ch["letter_index"])
-        return nodes[0]
-
     def codeword_lines(self) -> list[str]:
         """'original_index TAB comma-separated letters TAB cost' per symbol."""
         words, costs = self._symbol_words(lambda m: f",{m}")
@@ -301,10 +244,13 @@ class CodeTree:
         return [f"{i}\t{w[1:]}\t{c!r}" for i, w, c in zip(range(self.n), words, costs)]
 
     def to_json(self) -> str:
-        """to_dict() as compact JSON with sorted keys, written from a stack:
-        json.dumps recurses per level and overflows on deep zero-mass chains."""
+        """The tree as nested {letter_index, children | leaf_index} objects,
+        leaf_index the original symbol index, in compact JSON with sorted
+        keys.  It is written from a stack: json.dumps recurses per level and
+        overflows on deep zero-mass chains."""
         letter = self._letter.tolist()
-        leaf = self._leaf.tolist()
+        first = self._first.tolist()
+        last = self._last.tolist()
         perm = self.input.perm.tolist()
         children = [[] for _ in letter]
         for v, p in enumerate(self._parent.tolist()[1:], start=1):
@@ -315,8 +261,8 @@ class CodeTree:
             v = stack.pop()
             if isinstance(v, str):
                 parts.append(v)
-            elif leaf[v] >= 0:
-                parts.append(f'{{"leaf_index":{perm[leaf[v]]},"letter_index":{letter[v]}}}')
+            elif v and first[v] == last[v]:
+                parts.append(f'{{"leaf_index":{perm[first[v]]},"letter_index":{letter[v]}}}')
             else:
                 parts.append('{"children":[')
                 stack.append(f'],"letter_index":{letter[v]}}}')
@@ -404,10 +350,10 @@ class _Walk:
 
     A level is its internal blocks left to right, as (first slot, last slot,
     node id, word cost): numpy arrays on the vector path, a list of tuples on
-    the scalar path.  Each split appends the block's children in letter
-    order, so nodes are numbered in level order.  Vector levels come first
-    and are kept as one numpy chunk per level; the scalar levels below them
-    append to `array` buffers.
+    the scalar path.  Each split appends the block's children, with their
+    slot ranges, in letter order, so nodes are numbered in level order.
+    Vector levels come first and are kept as one numpy chunk per level; the
+    scalar levels below them append to `array` buffers.
     """
 
     def __init__(self, pinput: ProbInput, table: LetterTable, finite_t: int):
@@ -421,21 +367,21 @@ class _Walk:
         data = (pinput.probs, pinput.prefix, pinput.mid)
         self.views = ([x.tolist() for x in data] if pinput.n < _VECTOR_SLOTS
                       else [memoryview(x) for x in data])
-        # The root; every other node is some level's child.
-        self.buffers = (array("q", [-1]), array("q", [0]), array("q", [-1]),
-                        array("d", [0.0]))
+        # The root, over every slot; every other node is some level's child.
+        self.buffers = (array("q", [-1]), array("q", [0]), array("q", [0]),
+                        array("q", [pinput.n - 1]), array("d", [0.0]))
         self.chunks = []
         self.base = 0  # nodes in the chunks
         self.depth = self.left_shifts = self.right_shifts = self.bins = 0
 
     def arrays(self):
-        """parent, letter, leaf and word cost of every node: the root, then
-        the vector levels' chunks, then the scalar levels."""
+        """parent, letter, first and last slot, and word cost of every node:
+        the root, then the vector levels' chunks, then the scalar levels."""
         if not self.chunks:
             return self.buffers
         return [np.concatenate((view[:1], *chunks, view[1:]))
                 for chunks, view in zip(zip(*self.chunks),
-                                        map(np.frombuffer, self.buffers, "qqqd"))]
+                                        map(np.frombuffer, self.buffers, "qqqqd"))]
 
     def vector_levels(self, level: list) -> list:
         """Split level after level in numpy while a level holds at least
@@ -452,7 +398,7 @@ class _Walk:
         probs, P, s = self.views
         t = self.t
         lcosts, cum, ensure = self.table.costs, self.table.cum, self.table.ensure
-        parent, letter, leaf, word_cost = self.buffers
+        parent, letter, first, last, word_cost = self.buffers
         base = self.base
         bins = lefts = rights = depth = 0
         while level:
@@ -471,9 +417,10 @@ class _Walk:
                     c = wc + lcosts[m]
                     if a < b:
                         nxt.append((a, b, base + len(parent), c))
-                    leaf.append(-1 if a < b else a)
                     parent.append(v)
                     letter.append(m)
+                    first.append(a)
+                    last.append(b)
                     word_cost.append(c)
             level = nxt
             depth += 1
@@ -488,7 +435,7 @@ class _Walk:
         nodes = self.base + len(self.buffers[0])
         ids = np.arange(nodes, nodes + len(a))
         inner = a < b
-        self.chunks.append((parent, letter, np.where(inner, -1, a), word_cost))
+        self.chunks.append((parent, letter, a, b, word_cost))
         self.base += len(a)
         self.depth += 1
         return a[inner], b[inner], ids[inner], word_cost[inner]
@@ -665,9 +612,8 @@ def split_trace(tree: CodeTree) -> list[dict]:
     table = tree._table
     finite_t = int(tree.spec.alphabet_size) if tree.spec.is_finite_alphabet else 0
 
-    first, last = tree._slot_ranges()
     records = []
-    for v, (l, r) in enumerate(zip(first, last)):
+    for v, (l, r) in enumerate(zip(tree._first.tolist(), tree._last.tolist())):
         if l == r:  # a leaf, or the root of a one-symbol input
             continue
         L = P[l]
@@ -700,16 +646,3 @@ def split_trace(tree: CodeTree) -> list[dict]:
             "bins": bins,
         })
     return records
-
-
-def verify_prefix_free(words) -> bool:
-    """True iff no word is a prefix of another (duplicates also fail).
-
-    Words are sequences of letter indices.  Sorting makes any prefix pair
-    adjacent, so one linear scan suffices.
-    """
-    ws = sorted(tuple(w) for w in words)
-    for a, b in zip(ws, ws[1:]):
-        if b[:len(a)] == a:
-            return False
-    return True

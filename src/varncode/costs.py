@@ -36,6 +36,10 @@ _ROOT_TOL = 1e-12
 # Walks over an infinite alphabet stop with CostSpecError past this level.
 _MAX_LEVEL = 10 ** 7
 
+# rll:a,b lists its b - a + 1 letters at parse time, so it takes at most
+# this many: `root --costs rll:1,100000` takes about a second.
+_RLL_MAX_LETTERS = 100_000
+
 
 def _geom_weighted_tail(z: float, level: int) -> float:
     """sum_{j > level} j * z^j for 0 < z < 1, in closed form."""
@@ -273,7 +277,8 @@ class CustomProfileFamily(ProfileFamily):
     def weighted_sum_z(self, z, above=0):
         J = len(self.prefix)
         head = math.fsum(
-            j * self.prefix[j - 1] * z ** j for j in range(above + 1, J + 1)
+            # The float first: d_j * j can pass the float range as an int.
+            self.prefix[j - 1] * z ** j * j for j in range(above + 1, J + 1)
         )
         if not self.repeats:
             return head
@@ -512,7 +517,8 @@ def parse_cost_spec(text: str) -> CostSpec:
 
     Grammar:
         finite:c1,c2,...      explicit costs (normalized so min cost = 1)
-        rll:a,b               costs a, a+1, ..., b, then normalized
+        rll:a,b               costs a, a+1, ..., b, then normalized; at most
+                              100 000 letters (_RLL_MAX_LETTERS)
         telegraph             shorthand for finite:1,2
         linear                one letter of each integer cost
         repeat:d              d letters of each integer cost
@@ -541,6 +547,8 @@ def parse_cost_spec(text: str) -> CostSpec:
         a, b = (int(p) for p in parts)
         if a < 1 or b < a + 1:
             raise CostSpecError("rll needs 1 <= a < b")
+        if b - a + 1 > _RLL_MAX_LETTERS:
+            raise CostSpecError(f"rll takes at most {_RLL_MAX_LETTERS} letters")
         return finite_list(range(a, b + 1), label=s).normalize()
 
     if head in _NAMED_SPECS:
@@ -580,9 +588,12 @@ def _parse_floats(text: str, what: str) -> list[float]:
         if not piece:
             raise CostSpecError(f"malformed {what} parameter list {text!r}")
         try:
-            out.append(float(piece))
+            value = float(piece)
         except ValueError as exc:
             raise CostSpecError(f"bad number {piece!r} in {what} spec") from exc
+        if not math.isfinite(value):
+            raise CostSpecError(f"{what} spec holds a non-finite number {piece!r}")
+        out.append(value)
     return out
 
 

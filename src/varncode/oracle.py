@@ -42,6 +42,8 @@ MAX_T = 4
 # Improvements smaller than this are ties; keeps float noise from flapping
 # the incumbent between equal-cost optima.
 _IMPROVE = 1e-12
+# A cap admits costs up to this much above it, or n ulps of the cap where
+# that is more.
 _CAP_SLACK = 1e-9
 
 
@@ -66,7 +68,9 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
 
     `cap` bounds the search (use the constructed code's cost for a massive
     speedup); CapTooSmallError means every prefix-free code costs more than
-    cap + 1e-9, which cannot happen when cap came from a valid code.
+    cap + slack, which cannot happen when cap came from a valid code.  The
+    slack is 1e-9, or n ulps of the cap where that is more: two sums of the
+    same n products, in different orders, can differ by that much.
     """
     if not spec.is_finite_alphabet:
         raise OracleTooLargeError("oracle needs a finite alphabet")
@@ -79,10 +83,13 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
     costs = [spec.letter_cost(m) for m in range(1, t + 1)]
     probs = pinput.probs.tolist()
     cap_used = math.inf if cap is None else float(cap)
+    ceiling = cap_used
+    if math.isfinite(cap_used):
+        ceiling += max(_CAP_SLACK, n * math.ulp(cap_used))
 
     if n == 1:
         value = probs[0] * costs[0]
-        if value > cap_used + _CAP_SLACK:
+        if value > ceiling:
             raise CapTooSmallError("single codeword already exceeds the cap")
         return OracleResult(
             opt_cost=value,
@@ -107,7 +114,7 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
 
     best_leaves = greedy_complete()
     best_value = value_of([w for w, _ in best_leaves])
-    if best_value > cap_used + _CAP_SLACK:
+    if best_value > ceiling:
         best_leaves = None
         best_value = math.inf
 
@@ -127,7 +134,7 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
         if not frontier:
             if len(done) == n:
                 value = value_of(sorted(w for w, _ in done))
-                if value < best_value - _IMPROVE and value <= cap_used + _CAP_SLACK:
+                if value < best_value - _IMPROVE and value <= ceiling:
                     best_value = value
                     best_leaves = sorted(done)
             return
@@ -144,7 +151,7 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
                 heappush(heap, w + ci)
         completion.append(heap[0])
         lb = value_of(completion)
-        if lb > cap_used + _CAP_SLACK:
+        if lb > ceiling:
             return
         if best_leaves is not None and lb >= best_value - _IMPROVE:
             return
@@ -171,25 +178,3 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
         cost_cap_used=cap_used,
         opt_words=tuple(word for _, word in best_leaves),
     )
-
-
-def huffman_equal_cost(pinput: ProbInput, t: int) -> float:
-    """Optimal expected depth for t equal-cost letters (classic merging).
-
-    Pads with zero-probability symbols so every merge takes exactly t nodes;
-    a single symbol costs 1.0 (one letter).
-    """
-    if t < 2:
-        raise ValueError("need at least 2 letters")
-    n = pinput.n
-    if n == 1:
-        return 1.0
-    pad = (-(n - 1)) % (t - 1)
-    heap = pinput.probs.tolist() + [0.0] * pad
-    heapq.heapify(heap)
-    total = 0.0
-    while len(heap) > 1:
-        merged = math.fsum(heapq.heappop(heap) for _ in range(t))
-        total += merged
-        heapq.heappush(heap, merged)
-    return total

@@ -1,0 +1,92 @@
+"""Reference readers of built codes, for the tests.
+
+Each takes the plainest route to what it reports: a parent walk per
+codeword, a sorted scan for prefixes, a merge heap for equal letter costs.
+The program computes none of these itself; the tests hold its outputs
+against them.
+"""
+
+import heapq
+import math
+
+import numpy as np
+
+
+def verify_prefix_free(words) -> bool:
+    """True iff no word is a prefix of another (duplicates also fail).
+
+    Words are sequences of letter indices.  Sorting makes any prefix pair
+    adjacent, so one linear scan suffices.
+    """
+    ws = sorted(tuple(w) for w in words)
+    for a, b in zip(ws, ws[1:]):
+        if b[:len(a)] == a:
+            return False
+    return True
+
+
+def kraft_sum(tree) -> float:
+    """sum_k 2^(-c * cost of codeword k); at most 1 for any prefix-free code."""
+    return float(np.sum(np.exp2(-tree.root.value * tree.leaf_costs)))
+
+
+def _leaf(tree, original_index) -> int:
+    """The leaf node that encodes symbol original_index."""
+    (slot,) = np.flatnonzero(tree.input.perm == original_index)
+    return int(tree._leaf_node[slot])
+
+
+def codeword_letters(tree, original_index) -> tuple[int, ...]:
+    """Symbol original_index's codeword, walked from its leaf up to the root."""
+    v = _leaf(tree, original_index)
+    letters = []
+    while v:  # only the root, node 0, has no parent
+        letters.append(tree.letter_of(v))
+        v = tree.parent_of(v)
+    return tuple(reversed(letters))
+
+
+def codeword_cost(tree, original_index) -> float:
+    return float(tree._word_cost[_leaf(tree, original_index)])
+
+
+def tree_dict(tree) -> dict:
+    """The nested {letter_index, children | leaf_index} form of the tree,
+    leaf_index the original symbol index: what `to_json` writes."""
+    perm = tree.input.perm.tolist()
+    nodes = []
+    for v in range(tree.num_nodes):
+        d = {"letter_index": tree.letter_of(v)}
+        if tree.is_leaf(v):
+            d["leaf_index"] = perm[tree._first[v]]
+        else:
+            d["children"] = []
+        nodes.append(d)
+    for v in range(1, tree.num_nodes):
+        nodes[tree.parent_of(v)]["children"].append(nodes[v])
+    for d in nodes:
+        if "children" in d:
+            d["children"].sort(key=lambda ch: ch["letter_index"])
+    return nodes[0]
+
+
+def huffman_equal_cost(pinput, t: int) -> float:
+    """Optimal expected depth for t equal-cost letters (classic merging).
+
+    Pads with zero-probability symbols so every merge takes exactly t nodes;
+    a single symbol costs 1.0 (one letter).
+    """
+    if t < 2:
+        raise ValueError("need at least 2 letters")
+    n = pinput.n
+    if n == 1:
+        return 1.0
+    pad = (-(n - 1)) % (t - 1)
+    heap = pinput.probs.tolist() + [0.0] * pad
+    heapq.heapify(heap)
+    total = 0.0
+    while len(heap) > 1:
+        merged = math.fsum(heapq.heappop(heap) for _ in range(t))
+        total += merged
+        heapq.heappush(heap, merged)
+    return total

@@ -25,10 +25,11 @@ from varncode import (
     report,
     repeat,
     size_bound,
-    verify_prefix_free,
 )
 from varncode.analysis import approx_bound, multiplicity_bound
 from varncode.cli import make_probs
+
+from code_reference import codeword_letters, kraft_sum, verify_prefix_free
 
 THIRDS_SIXTHS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
 
@@ -113,11 +114,11 @@ def test_criterion_3_bound_satisfaction_sweep():
         pin = prepare(sweep_probs(i, rng), normalize=True)
         tree = build_code(pin, spec, root)
         n = pin.n
-        words = [tree.codeword_letters(k) for k in range(n)]
+        words = [codeword_letters(tree, k) for k in range(n)]
         if not verify_prefix_free(words):
             bad.append(f"instance {i}: not prefix free")
-        if tree.kraft_sum() > 1.0 + 1e-9:
-            bad.append(f"instance {i}: kraft {tree.kraft_sum()!r}")
+        if kraft_sum(tree) > 1.0 + 1e-9:
+            bad.append(f"instance {i}: kraft {kraft_sum(tree)!r}")
         if tree.num_nodes - 1 > 2 * n - 1:
             bad.append(f"instance {i}: branching {tree.num_nodes - 1} n={n}")
         rep = report(tree)
@@ -273,7 +274,7 @@ def test_criterion_9_performance_scaling():
     big = time.perf_counter() - t_build
     if big >= 10.0:
         bad.append(f"n=10^6 build took {big:.2f}s")
-    if tree.kraft_sum() > 1.0 + 1e-9:
+    if kraft_sum(tree) > 1.0 + 1e-9:
         bad.append("kraft violation at n=10^6")
     for base in (10 ** 4, 10 ** 5):
         t1 = median_build_time(spec, root, base)

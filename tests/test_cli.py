@@ -29,6 +29,8 @@ from varncode.cli import (
     root_dict,
 )
 
+from code_reference import codeword_cost, codeword_letters, tree_dict
+
 EXIT_NUMERIC = 3
 EXIT_ORACLE = 4
 
@@ -339,7 +341,7 @@ def reference_code_output(costs, gen, fmt, trace=False, tree=False):
     root = char_root(spec)
     built = build_code(prepare(parse_gen(gen, 0)), spec, root)
     rep = report(built)
-    words = [(i, built.codeword_letters(i), built.codeword_cost(i))
+    words = [(i, codeword_letters(built, i), codeword_cost(built, i))
              for i in range(built.n)]
     buf = io.StringIO()
     if fmt == "json":
@@ -350,7 +352,7 @@ def reference_code_output(costs, gen, fmt, trace=False, tree=False):
             "report": rep.to_dict(),
         }
         if tree:
-            payload["tree"] = built.to_dict()
+            payload["tree"] = tree_dict(built)
         if trace:
             payload["trace"] = split_trace(built)
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=buf)
@@ -439,6 +441,55 @@ def test_profile_letter_count_past_the_float_range_exits_parse(capsys):
     code, _, err = run(capsys, "root", "--costs", "profile:1e308,1e308")
     assert code == EXIT_PARSE
     assert err.startswith("error parse:")
+
+
+@pytest.mark.parametrize("spec", ["profile:1e309", "repeat:1e309", "rll:1,1e309",
+                                  "profile:1,inf", "finite:1,nan"])
+def test_non_finite_cost_numbers_exit_parse(capsys, spec):
+    # They used to reach int(inf) and end in an OverflowError traceback.
+    code, out, err = run(capsys, "root", "--costs", spec)
+    assert code == EXIT_PARSE
+    assert err.startswith("error parse:") and "non-finite" in err
+    assert out == ""
+
+
+def test_repeating_profile_near_the_float_maximum_roots(capsys):
+    # Its weighted sum once multiplied the int d_j * j past the float range.
+    d = run_json(capsys, "root", "--costs", "profile:1e308,1e308;tail=repeat",
+                 "--format", "json")
+    assert d["c"] > 0.0
+
+
+def test_rll_span_past_the_limit_exits_parse(capsys):
+    # Only the rejection runs: an unbounded span would list every letter.  The
+    # span just past the limit goes first, so a missing limit fails there.
+    for spec in ("rll:1,100001", "rll:1,1e300", "rll:2,1e15"):
+        code, _, err = run(capsys, "root", "--costs", spec)
+        assert code == EXIT_PARSE
+        assert err == "error parse: rll takes at most 100000 letters\n"
+
+
+def test_compare_accepts_an_optimal_code_at_a_huge_cost_scale(capsys):
+    # C(T) is 1 ulp below OPT's rearranged sum at 3.3e299: an absolute 1e-9
+    # slack refused the cap, then flagged OPT as above C(T).
+    d = run_json(capsys, "compare", "--costs", "finite:1e-300,1", "--inline",
+                 "0.6654575346533242,0.2721042781738002,0.062438187172875484",
+                 "--format", "json")
+    assert d["violations"] == []
+    assert d["opt_cost"] > d["cost"]
+
+
+def test_closed_stdout_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "varncode.cli", "code", "--costs", "finite:1,2",
+         "--gen", "zipf:1.0,100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"0\t")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == EXIT_OK
+    assert err == b""
 
 
 def test_exit_numeric_underflow(capsys):

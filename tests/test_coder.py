@@ -23,9 +23,16 @@ from varncode import (
     repeat,
     report,
     split_trace,
-    verify_prefix_free,
 )
 from varncode.cli import make_probs, parse_gen
+
+from code_reference import (
+    codeword_cost,
+    codeword_letters,
+    kraft_sum,
+    tree_dict,
+    verify_prefix_free,
+)
 
 THIRDS_SIXTHS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
 
@@ -123,15 +130,15 @@ def test_thirds_sixths_one_three_costs():
 
 def test_single_symbol():
     tree = build([1.0], "finite:1,2")
-    assert tree.codeword_letters(0) == (1,)
+    assert codeword_letters(tree, 0) == (1,)
     assert tree.cost() == 1.0
-    assert tree.kraft_sum() <= 1.0 + 1e-12
+    assert kraft_sum(tree) <= 1.0 + 1e-12
 
 
 def test_two_equal_symbols_right_shift():
     tree = build([0.5, 0.5], "finite:1,5")
-    assert tree.codeword_letters(0) == (1,)
-    assert tree.codeword_letters(1) == (2,)
+    assert codeword_letters(tree, 0) == (1,)
+    assert codeword_letters(tree, 1) == (2,)
     assert tree.cost() == pytest.approx(3.0)
     trace = split_trace(tree)
     ev = trace[0]
@@ -154,11 +161,11 @@ def test_left_shift_takes_one_item():
 
 def test_zero_probabilities_get_codewords():
     tree = build([1.0, 0.0, 0.0], "finite:1,2")
-    words = [tree.codeword_letters(i) for i in range(3)]
+    words = [codeword_letters(tree, i) for i in range(3)]
     assert words[0] == (1,)
     assert verify_prefix_free(words)
     assert tree.cost() == pytest.approx(1.0)
-    assert tree.kraft_sum() <= 1.0 + 1e-9
+    assert kraft_sum(tree) <= 1.0 + 1e-9
 
 
 def test_deep_chain_of_zeros():
@@ -184,7 +191,7 @@ def test_dyadic_within_envelope_is_optimal():
     assert tree.cost() == pytest.approx(H, abs=1e-9)
     for i, p in enumerate(q / q.sum()):
         if i < 40:
-            assert len(tree.codeword_letters(i)) <= 41
+            assert len(codeword_letters(tree, i)) <= 41
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +202,9 @@ def test_codeword_costs_match_letters():
     tree = build(THIRDS_SIXTHS, "finite:1,3")
     spec_costs = (1.0, 3.0)
     for i in range(4):
-        word = tree.codeword_letters(i)
+        word = codeword_letters(tree, i)
         direct = sum(spec_costs[m - 1] for m in word)
-        assert tree.codeword_cost(i) == pytest.approx(direct, abs=1e-12)
+        assert codeword_cost(tree, i) == pytest.approx(direct, abs=1e-12)
 
 
 def test_cost_is_weighted_codeword_cost():
@@ -207,7 +214,7 @@ def test_cost_is_weighted_codeword_cost():
     tree = build(p, "finite:1,2,3", normalize=True)
     pin = tree.input
     direct = math.fsum(
-        float(pin.probs[k]) * tree.codeword_cost(int(pin.perm[k]))
+        float(pin.probs[k]) * codeword_cost(tree, int(pin.perm[k]))
         for k in range(pin.n)
     )
     assert tree.cost() == pytest.approx(direct, abs=1e-10)
@@ -215,7 +222,7 @@ def test_cost_is_weighted_codeword_cost():
 
 def test_to_dict_shape():
     tree = build(THIRDS_SIXTHS, "finite:1,1")
-    d = tree.to_dict()
+    d = tree_dict(tree)
     assert d["letter_index"] == 0
     seen = []
 
@@ -231,7 +238,7 @@ def test_to_dict_shape():
     walk(d, 0.0)
     assert sorted(i for i, _ in seen) == [0, 1, 2, 3]
     for i, cost in seen:
-        assert cost == tree.codeword_cost(i)
+        assert cost == codeword_cost(tree, i)
 
 
 def test_to_json_deep_tree():
@@ -267,12 +274,12 @@ def test_codeword_lines_format():
     first = lines[0].split("\t")
     assert first[0] == "0"
     assert all(part.isdigit() for part in first[1].split(","))
-    assert float(first[2]) == tree.codeword_cost(0)
+    assert float(first[2]) == codeword_cost(tree, 0)
 
 
 def reference_codewords(tree):
     """Codewords the pre-fold way: one leaf-to-root parent walk per symbol."""
-    return [(i, tree.codeword_letters(i), tree.codeword_cost(i)) for i in range(tree.n)]
+    return [(i, codeword_letters(tree, i), codeword_cost(tree, i)) for i in range(tree.n)]
 
 
 def reference_lines(tree):
@@ -315,9 +322,9 @@ def test_random_builds_are_prefix_free_with_kraft():
         root = char_root(spec)
         pin = prepare(p, normalize=True)
         tree = build_code(pin, spec, root)
-        words = [tree.codeword_letters(i) for i in range(n)]
+        words = [codeword_letters(tree, i) for i in range(n)]
         assert verify_prefix_free(words)
-        assert tree.kraft_sum() <= 1.0 + 1e-9
+        assert kraft_sum(tree) <= 1.0 + 1e-9
         assert tree.num_nodes - 1 <= 2 * n - 1
         assert tree.stats.max_depth >= 1
 
@@ -334,7 +341,7 @@ def test_decomposition_identities():
         pin = prepare(p, normalize=True)
         tree = build_code(pin, spec, root)
         direct_cost = math.fsum(
-            float(pin.probs[k]) * tree.codeword_cost(int(pin.perm[k]))
+            float(pin.probs[k]) * codeword_cost(tree, int(pin.perm[k]))
             for k in range(n)
         )
         H = -math.fsum(float(q) * math.log2(float(q)) for q in pin.probs if q > 0)
@@ -411,15 +418,15 @@ def test_permutation_invariance():
         for i, p in enumerate(shuffled):
             j = base.index(p)
             ref_tree = build(base, "finite:1,2")
-            assert tree.codeword_cost(i) == ref_tree.codeword_cost(j)
+            assert codeword_cost(tree, i) == codeword_cost(ref_tree, j)
 
 
 def test_builds_agree_across_prepared_copies():
     p = [0.35, 0.3, 0.2, 0.15]
     t1 = build(p, "linear")
     t2 = build(p, "linear")
-    assert [t1.codeword_letters(i) for i in range(4)] == \
-        [t2.codeword_letters(i) for i in range(4)]
+    assert [codeword_letters(t1, i) for i in range(4)] == \
+        [codeword_letters(t2, i) for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +644,7 @@ def test_finite_profiles_build_valid_codes(spec_text):
         pin = prepare(rng.random(n) + 1e-3, normalize=True)
         tree = build_code(pin, spec, root)
         assert verify_prefix_free([w for _, w, _ in tree.codewords()])
-        assert tree.kraft_sum() <= 1.0 + 1e-9
+        assert kraft_sum(tree) <= 1.0 + 1e-9
         rep = report(tree)
         for b in rep.bounds:
             if b.applicable:

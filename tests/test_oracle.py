@@ -17,12 +17,12 @@ from varncode import (
     entropy,
     exact_opt,
     finite_list,
-    huffman_equal_cost,
     linear,
     parse_cost_spec,
     prepare,
-    verify_prefix_free,
 )
+
+from code_reference import huffman_equal_cost, verify_prefix_free
 
 THIRDS_SIXTHS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
 
@@ -229,6 +229,26 @@ def test_cap_semantics():
     assert capped.nodes_explored <= open_search.nodes_explored
 
 
+def test_cap_slack_is_absolute_at_ordinary_scales():
+    pin = prepare([1.0])  # n = 1: one codeword of cost 1
+    spec = parse_cost_spec("finite:1,2")
+    assert exact_opt(pin, spec, cap=1.0 - 0.5e-9).opt_cost == 1.0
+    with pytest.raises(CapTooSmallError):
+        exact_opt(pin, spec, cap=1.0 - 2e-9)
+
+
+def test_cap_slack_scales_with_the_cap():
+    # The built code is optimal, but its C(T) is 1 ulp below OPT's
+    # rearranged sum at 3.3e299, far more than 1e-9.
+    spec = parse_cost_spec("finite:1e-300,1")
+    pin = prepare([0.6654575346533242, 0.2721042781738002, 0.062438187172875484])
+    built = build_code(pin, spec, char_root(spec)).cost()
+    res = exact_opt(pin, spec, cap=built)
+    assert built < res.opt_cost <= built + pin.n * math.ulp(built)
+    with pytest.raises(CapTooSmallError):
+        exact_opt(pin, spec, cap=res.opt_cost - 2 * pin.n * math.ulp(built))
+
+
 # ---------------------------------------------------------------------------
 # the pruned search against the unpruned one
 # ---------------------------------------------------------------------------
@@ -246,11 +266,15 @@ def _reference_exact_opt(pinput, spec, cap=None):
     costs = [spec.letter_cost(m) for m in range(1, t + 1)]
     probs = pinput.probs.tolist()
     cap_used = math.inf if cap is None else float(cap)
-    improve, slack = 1e-12, 1e-9
+    improve = 1e-12
+    # 1e-9 above a finite cap, or n ulps of it where that is more
+    ceiling = cap_used
+    if math.isfinite(cap_used):
+        ceiling += max(1e-9, n * math.ulp(cap_used))
 
     if n == 1:
         value = probs[0] * costs[0]
-        if value > cap_used + slack:
+        if value > ceiling:
             raise CapTooSmallError("single codeword already exceeds the cap")
         return OracleResult(value, (costs[0],), 1, cap_used, ((1,),))
 
@@ -264,7 +288,7 @@ def _reference_exact_opt(pinput, spec, cap=None):
             heapq.heappush(heap, (cost + costs[i], word + (i + 1,)))
     best_leaves = sorted(heap)
     best_value = value_of([w for w, _ in best_leaves])
-    if best_value > cap_used + slack:
+    if best_value > ceiling:
         best_leaves, best_value = None, math.inf
 
     def lower_bound(frontier, done, need):
@@ -286,14 +310,14 @@ def _reference_exact_opt(pinput, spec, cap=None):
         if not frontier:
             if len(done) == n:
                 value = value_of(sorted(w for w, _ in done))
-                if value < best_value - improve and value <= cap_used + slack:
+                if value < best_value - improve and value <= ceiling:
                     best_value = value
                     best_leaves = sorted(done)
             return
         slots = len(done) + len(frontier)
         need = n - len(done)
         lb = lower_bound([w for w, _ in frontier], [w for w, _ in done], need)
-        if lb > cap_used + slack:
+        if lb > ceiling:
             return
         if best_leaves is not None and lb >= best_value - improve:
             return

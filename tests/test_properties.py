@@ -6,9 +6,9 @@ same tree bit for bit; split_trace describes exactly the tree it was
 derived from; every bound row the report applies holds, and the cost and
 entropy decompositions add up; the exact oracle finds what its unpruned
 search finds; approx_bound stops at the first cost level whose weighted
-tail fits; and the CLI maps any JSON array in a --probs file to a
-documented exit code.  Examples come from a fixed seed, so the
-suite is reproducible.
+tail fits; the CLI maps any JSON array in a --probs file to a documented
+exit code; and any cost DSL string roots or exits as a parse error.
+Examples come from a fixed seed, so the suite is reproducible.
 """
 
 import contextlib
@@ -32,10 +32,10 @@ from varncode import (
     prepare,
     report,
     split_trace,
-    verify_prefix_free,
 )
 from varncode.cli import main
 
+from code_reference import codeword_letters, kraft_sum, verify_prefix_free
 from test_oracle import assert_matches_reference
 
 FAMILIES = ("linear", "fib", "balanced", "telegraph", "repeat:1", "repeat:3",
@@ -88,7 +88,7 @@ def slot_ranges(tree):
     last = [-1] * tree.num_nodes
     for k, i in enumerate(tree.input.perm.tolist()):
         path = [0]
-        for m in tree.codeword_letters(i):
+        for m in codeword_letters(tree, i):
             path.append(child[(path[-1], m)])
         for v in path:
             first[v] = min(first[v], k)
@@ -106,7 +106,7 @@ def test_build_is_prefix_free_and_its_trace_is_the_tree(spec_text, weights):
     except BinUnderflowError:
         return
     assert verify_prefix_free([w for _, w, _ in tree.codewords()])
-    assert tree.kraft_sum() <= 1 + 1e-9
+    assert kraft_sum(tree) <= 1 + 1e-9
 
     trace = split_trace(tree)
     if tree.n == 1:
@@ -116,6 +116,8 @@ def test_build_is_prefix_free_and_its_trace_is_the_tree(spec_text, weights):
     assert [e["node"] for e in trace] == internal
     assert sum(len(e["bins"]) for e in trace) == tree.num_nodes - 1
     child, first, last = slot_ranges(tree)
+    # the build stored the ranges the codewords span
+    assert tree._first.tolist() == first and tree._last.tolist() == last
     for e in trace:
         v = e["node"]
         assert e["range"] == [first[v], last[v]]
@@ -148,11 +150,11 @@ def _build_on_one_path(slots, spec_text, weights):
 
 
 def _node_arrays(tree):
-    """The four node arrays' bytes, or the error type in place of a tree."""
+    """The five node arrays' bytes, or the error type in place of a tree."""
     if isinstance(tree, type):
         return tree
-    return [a.tobytes() for a in (tree._parent, tree._letter, tree._leaf,
-                                  tree._word_cost)]
+    return [a.tobytes() for a in (tree._parent, tree._letter, tree._first,
+                                  tree._last, tree._word_cost)]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -175,7 +177,8 @@ def test_zero_width_block_over_subnormals_keeps_their_weights():
     for slots in (2, 10 ** 9):
         tree = _build_on_one_path(slots, "finite:1,1", weights)
         weight = tree._weights()
-        assert sorted(weight[tree._leaf >= 0].tolist()) == [5e-324] * 3 + [1.0]
+        leaf = [tree.is_leaf(v) for v in range(tree.num_nodes)]
+        assert sorted(weight[leaf].tolist()) == [5e-324] * 3 + [1.0]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -267,6 +270,47 @@ def test_approx_threshold_is_the_first_level_whose_tail_fits(spec_text, epsilon)
     assert ab.index_threshold == sum(d for cost, d in levels if cost <= N + 1e-12)
     if spec.is_finite_alphabet and N == levels[-1][0]:
         assert ab.tail_value == 0.0
+
+
+# Numbers at and past the float range's ends, signed zero, and ints of
+# hundreds of digits, beside ordinary small ones.
+dsl_numbers = st.one_of(
+    st.integers(0, 6).map(str),
+    st.integers(10 ** 100, 10 ** 400).map(str),
+    st.sampled_from(("1e308", "1.7976931348623157e308", "1e309", "inf", "-inf", "nan",
+                     "-0", "-0.0", "1e-300", "5e-324", "2.5")),
+)
+dsl_lists = st.lists(dsl_numbers, min_size=1, max_size=4).map(",".join)
+# rll spans stay small or land far past the limit: two numbers drawn above
+# give at most 6 letters, or differ by 1e84 or more once rounded to floats.
+rll_texts = st.one_of(
+    st.tuples(st.integers(1, 10 ** 6), st.integers(1, 3)).map(
+        lambda ab: f"rll:{ab[0]},{ab[0] + ab[1]}"),
+    st.tuples(dsl_numbers, dsl_numbers).map(lambda ab: f"rll:{ab[0]},{ab[1]}"),
+)
+dsl_texts = st.one_of(
+    dsl_lists.map(lambda xs: f"finite:{xs}"),
+    rll_texts,
+    dsl_numbers.map(lambda x: f"repeat:{x}"),
+    st.tuples(dsl_lists, st.sampled_from(("", ";tail=zero", ";tail=repeat"))).map(
+        lambda lt: f"profile:{lt[0]}{lt[1]}"),
+    st.tuples(st.sampled_from(("telegraph", "linear", "fib", "balanced")),
+              st.sampled_from(("", ":", ":1", ":inf"))).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=dsl_texts)
+@example(text="profile:1e308,1e308;tail=repeat")
+@example(text="rll:1,1e300")
+def test_cost_dsl_roots_or_exits_parse(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["root", "--costs", text])
+    if code:
+        assert code == 2 and err.getvalue().startswith("error parse:"), err.getvalue()
+    else:
+        assert out.getvalue().startswith("spec: ")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="one symbol: "

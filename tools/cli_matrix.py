@@ -47,12 +47,22 @@ PARSE_ERRORS = (
     ("bounds", "--costs", "fib", "--gen", "uniform:5", "--epsilon", "0"),
     ("compare", "--costs", "finite:1,1,1,1,1", "--gen", "uniform:3"),
     ("oracle", "--costs", "finite:1,2", "--inline", "0.5,0.5", "--cap", "0.5"),
+    # Non-finite numbers, and an rll span past its letter limit.
+    ("root", "--costs", "profile:1e309"),
+    ("root", "--costs", "repeat:1e309"),
+    ("root", "--costs", "rll:1,1e309"),
+    ("root", "--costs", "profile:1,inf"),
+    ("root", "--costs", "rll:1,1000000"),
 )
 # Roots at both ends of the root bracket: the largest profile coefficient's,
-# and one far below the bisection's absolute tolerance.
-EXTREME_ROOTS = ("profile:1e300", "finite:1,1e300")
+# and one far below the bisection's absolute tolerance; and a repeating
+# profile whose weighted sum nears the float maximum.
+EXTREME_ROOTS = ("profile:1e300", "finite:1,1e300", "profile:1e308,1e308;tail=repeat")
 # The oracle at the largest n it takes, the size its audits search.
 ORACLE_INPUT = ("--gen", "zipf:1.0,10")
+# An optimal code whose C(T) is 1 ulp below OPT's rearranged sum at 3.3e299.
+HUGE_SCALE_COMPARE = ("compare", "--costs", "finite:1e-300,1", "--inline",
+                      "0.6654575346533242,0.2721042781738002,0.062438187172875484")
 
 
 def cases():
@@ -76,6 +86,8 @@ def cases():
     for spec in SPECS:
         for fmt in FORMATS:
             yield ("oracle", "--costs", spec) + ORACLE_INPUT + fmt
+    for fmt in FORMATS:
+        yield HUGE_SCALE_COMPARE + fmt
 
 
 def run(main, argv):
