@@ -48,7 +48,6 @@ from .costs import (
     telegraph,
 )
 from .errors import (
-    BinUnderflowError,
     CapTooSmallError,
     CostSpecError,
     DivergentTailError,

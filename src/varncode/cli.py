@@ -4,7 +4,7 @@ Subcommands: root (characteristic root), code (build + codewords + report),
 bounds (report only), oracle (exact small-instance optimum), compare (coder
 vs oracle), bench (build-time CSV, or per-layer timing JSON).  Exit codes:
 0 ok (also when the reader closes stdout early), 2 parse/input error, 3
-numeric error (divergence, underflow), 4 oracle limits, 5 audit violation.
+numeric error (see `errors`), 4 oracle limits, 5 audit violation.
 """
 
 from __future__ import annotations

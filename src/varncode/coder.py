@@ -6,8 +6,11 @@ width is the fraction 2^(-c*c_m) of the block, and a probability lands in the
 bin containing its midpoint s_k = P_(k-1) + p_k/2.  Two local fixups keep the
 recursion honest: an empty bin steals the next item (left shift), and when
 everything falls in bin 1 the last item moves to bin 2 (right shift) so every
-internal node branches.  Bins are materialized lazily, so infinite alphabets
-cost nothing extra.
+internal node branches.  A bin whose float width collapsed, because the block
+is narrower than an ulp of its left end or the letter's weight no longer moves
+the cumulative sum, holds no midpoint and so counts as empty: it steals too,
+and `BuildStats.left_shifts` counts those splits.  Bins are materialized
+lazily, so infinite alphabets cost nothing extra.
 
 `build_code` grows the tree breadth first, one level at a time, and numbers
 the nodes in level order, each node's children in ascending letter order.
@@ -32,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import CharRoot, CostSpec, LetterTable
-from .errors import BinUnderflowError, ProbInputError
+from .errors import ProbInputError
 
 _SUM_TOL = 1e-9
 
@@ -273,7 +276,7 @@ class CodeTree:
         return "".join(parts)
 
 
-def _split(l, r, L, w, s, probs, cum, ensure, finite_t):
+def _split(l, r, L, w, s, cum, ensure, finite_t):
     """Divide the sorted block [l, r] with interval [L, L + w) among letters.
 
     Letter m's bin ends at L + w * cum[m]; slot k lands in the bin holding
@@ -283,7 +286,6 @@ def _split(l, r, L, w, s, probs, cum, ensure, finite_t):
     k = l
     m = 0
     ranges = []
-    prevR = L
     stole = False
     while k <= r:
         m += 1
@@ -297,15 +299,10 @@ def _split(l, r, L, w, s, probs, cum, ensure, finite_t):
             break
         Rm = L + w * cum[m]
         j = bisect_left(s, Rm, k, r + 1) - 1
-        if j < k:
-            if w > 0.0 and Rm <= prevR and probs[k] > 0.0:
-                raise BinUnderflowError(
-                    f"bin {m} width underflowed with mass left at slot {k}"
-                )
+        if j < k:  # an empty bin, or one whose float width collapsed
             j = k
             stole = True
         ranges.append((k, j, m))
-        prevR = Rm
         k = j + 1
 
     if len(ranges) == 1:
@@ -364,7 +361,7 @@ class _Walk:
         # whole tree (they index fastest, about 1 us of an n <= 10 build),
         # else from memoryviews, with no O(n) copy for the few slots below
         # the vector levels.
-        data = (pinput.probs, pinput.prefix, pinput.mid)
+        data = (pinput.prefix, pinput.mid)
         self.views = ([x.tolist() for x in data] if pinput.n < _VECTOR_SLOTS
                       else [memoryview(x) for x in data])
         # The root, over every slot; every other node is some level's child.
@@ -395,7 +392,7 @@ class _Walk:
 
     def scalar_levels(self, level: list) -> None:
         """Split the remaining levels block by block with `_split`."""
-        probs, P, s = self.views
+        P, s = self.views
         t = self.t
         lcosts, cum, ensure = self.table.costs, self.table.cum, self.table.ensure
         parent, letter, first, last, word_cost = self.buffers
@@ -405,8 +402,8 @@ class _Walk:
             nxt = []
             for l, r, v, wc in level:
                 if l < r:
-                    ranges, stole, rshift = _split(l, r, P[l], P[r + 1] - P[l], s, probs,
-                                                   cum, ensure, t)
+                    ranges, stole, rshift = _split(l, r, P[l], P[r + 1] - P[l], s, cum,
+                                                   ensure, t)
                     m = 1 if rshift else ranges[-1][2]
                     bins += m - (m == t)
                     lefts += stole
@@ -462,7 +459,6 @@ class _Walk:
         count = np.zeros(len(l), dtype=np.int64)  # children per block
         count[zrow] = kids
         jprev = l - 1  # each block's last slot already given to a letter
-        prevR = L.copy()
         stole = zero.copy()  # a zero-width split is a run of left shifts
         active = np.flatnonzero(~zero)
         m0, K = 0, _FIRST_BATCH
@@ -485,13 +481,6 @@ class _Walk:
             last = np.where(finished, done.argmax(axis=1) + 1, K)
             valid = col <= last[:, None]
             steal = valid & (J < first)
-            under = np.argwhere(
-                steal & (R <= np.concatenate((prevR[active, None], R[:, :-1]), axis=1)))
-            under = under[pin.probs[first[under[:, 0], under[:, 1]]] > 0.0]
-            if under.size:
-                i, c = under[0]
-                raise BinUnderflowError(f"bin {m0 + c + 1} width underflowed with mass "
-                                        f"left at slot {first[i, c]}")
             i, c = np.nonzero(valid)
             rows.append(active[i])
             letters.append(m0 + 1 + c)
@@ -501,7 +490,6 @@ class _Walk:
             count[active[finished]] = m0 + last[finished]
             more = ~finished
             jprev[active[more]] = j[more, -1]
-            prevR[active[more]] = R[more, -1]
             active = active[more]
             m0 += K
             K *= 2
@@ -608,7 +596,7 @@ def split_trace(tree: CodeTree) -> list[dict]:
     builder's float.
     """
     pin = tree.input
-    probs, P, s = pin.probs.tolist(), pin.prefix.tolist(), pin.mid.tolist()
+    P, s = pin.prefix.tolist(), pin.mid.tolist()
     table = tree._table
     finite_t = int(tree.spec.alphabet_size) if tree.spec.is_finite_alphabet else 0
 
@@ -618,8 +606,8 @@ def split_trace(tree: CodeTree) -> list[dict]:
             continue
         L = P[l]
         w = P[r + 1] - L
-        ranges, stole, rshift = _split(l, r, L, w, s, probs, table.cum,
-                                       table.ensure, finite_t)
+        ranges, stole, rshift = _split(l, r, L, w, s, table.cum, table.ensure,
+                                       finite_t)
         bins = []
         for a, b, m in ranges:
             lo = L + w * table.cum[m - 1]

@@ -542,7 +542,7 @@ def parse_cost_spec(text: str) -> CostSpec:
 
     if head == "rll":
         parts = _parse_floats(rest, "rll")
-        if len(parts) != 2:
+        if len(parts) != 2 or any(p != int(p) for p in parts):
             raise CostSpecError("rll takes two integers: rll:a,b")
         a, b = (int(p) for p in parts)
         if a < 1 or b < a + 1:

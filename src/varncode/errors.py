@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Each class names the token the CLI prints (`error <reason>: ...`) and the
-exit code it returns: 2 input, 3 numeric, 4 oracle limits.
+exit code it returns: 2 input, 3 numeric, 4 oracle limits.  The one numeric
+error, `DivergentTailError`, comes from calling `approx_bound` directly: no
+command reaches exit 3, because `report` marks that bound row inapplicable
+instead of asking for it.
 """
 
 
@@ -30,12 +33,6 @@ class DivergentTailError(VarncodeError):
     """The cost-weighted tail sum of the alphabet diverges at the characteristic root."""
 
     reason = "divergent_tail"
-
-
-class BinUnderflowError(VarncodeError):
-    """A split bin's floating-point width collapsed to zero with positive mass left."""
-
-    reason = "bin_underflow"
 
 
 class OracleTooLargeError(VarncodeError):

@@ -1,13 +1,16 @@
 """Reference readers of built codes, for the tests.
 
 Each takes the plainest route to what it reports: a parent walk per
-codeword, a sorted scan for prefixes, a merge heap for equal letter costs.
+codeword, a sorted scan for prefixes, a merge heap for equal letter costs,
+the split itself in exact rationals.
 The program computes none of these itself; the tests hold its outputs
 against them.
 """
 
 import heapq
 import math
+from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 
@@ -68,6 +71,49 @@ def tree_dict(tree) -> dict:
         if "children" in d:
             d["children"].sort(key=lambda ch: ch["letter_index"])
     return nodes[0]
+
+
+def exact_split_costs(tree) -> list[float]:
+    """Each sorted slot's codeword cost under the same split rule the build
+    runs, with every sum, midpoint and bin end an exact rational over the
+    tree's own float probabilities and letter weights, so no bin collapses.
+    A word's cost adds the table's float letter costs, root first, as the
+    build does, so a slot whose path matches gets the same bits."""
+    table = tree._table
+    t = int(tree.spec.alphabet_size) if tree.spec.is_finite_alphabet else 0
+    probs = [Fraction(p) for p in tree.input.probs.tolist()]
+    P = [Fraction(0)]
+    for p in probs:
+        P.append(P[-1] + p)
+    s = [P[k] + p / 2 for k, p in enumerate(probs)]
+    W = [Fraction(0)]  # exact cumulative letter weights
+
+    def letter(m):
+        while len(W) <= m:
+            table.ensure(len(W))
+            W.append(W[-1] + Fraction(2.0 ** (-table.c * table.costs[len(W)])))
+        return W[m]
+
+    costs = [table.costs[1]] * len(probs)  # a one-symbol input's one letter
+    stack = [(0, len(probs) - 1, 0.0)] if len(probs) > 1 else []
+    while stack:
+        l, r, wc = stack.pop()
+        kids, k, m = [], l, 0
+        while k <= r:
+            m += 1
+            bin_end = P[l] + (P[r + 1] - P[l]) * letter(m)
+            j = r if m == t else max(bisect_left(s, bin_end, k, r + 1) - 1, k)
+            kids.append((k, j, m))
+            k = j + 1
+        if len(kids) == 1:  # everything fell in bin 1
+            letter(2)
+            kids = [(l, r - 1, 1), (r, r, 2)]
+        for a, b, m in kids:
+            if a == b:
+                costs[a] = wc + table.costs[m]
+            else:
+                stack.append((a, b, wc + table.costs[m]))
+    return costs
 
 
 def huffman_equal_cost(pinput, t: int) -> float:

@@ -31,7 +31,6 @@ from varncode.cli import (
 
 from code_reference import codeword_cost, codeword_letters, tree_dict
 
-EXIT_NUMERIC = 3
 EXIT_ORACLE = 4
 
 
@@ -492,11 +491,14 @@ def test_closed_stdout_exits_quietly():
     assert err == b""
 
 
-def test_exit_numeric_underflow(capsys):
-    code, _, err = run(capsys, "code", "--costs", "finite:1,1",
-                       "--gen", "dyadic:90")
-    assert code == EXIT_NUMERIC
-    assert err.startswith("error bin_underflow:")
+def test_sub_ulp_masses_build(capsys):
+    # The tail's bins are narrower than an ulp of their left ends: each such
+    # bin counts as empty and steals, where the build once exited 3.
+    d = run_json(capsys, "code", "--costs", "finite:1,1", "--gen", "dyadic:90",
+                 "--format", "json")
+    rep = d["report"]
+    assert len(d["codewords"]) == 90
+    assert rep["cost"] == pytest.approx(rep["entropy"], abs=1e-9)
 
 
 def test_exit_oracle_errors(capsys):
@@ -516,7 +518,6 @@ ERROR_MAPPING = {
     "CostSpecError": ("parse", 2),
     "ProbInputError": ("parse", 2),
     "DivergentTailError": ("divergent_tail", 3),
-    "BinUnderflowError": ("bin_underflow", 3),
     "OracleTooLargeError": ("oracle_too_large", 4),
     "CapTooSmallError": ("cap_too_small", 4),
 }

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from varncode import (
-    BinUnderflowError,
     ProbInputError,
     build_code,
     char_root,
@@ -29,6 +28,7 @@ from varncode.cli import make_probs, parse_gen
 from code_reference import (
     codeword_cost,
     codeword_letters,
+    exact_split_costs,
     kraft_sum,
     tree_dict,
     verify_prefix_free,
@@ -175,23 +175,53 @@ def test_deep_chain_of_zeros():
     assert tree.cost() == pytest.approx(1.0)
 
 
-def test_underflow_raises_for_sub_ulp_mass():
-    q = np.exp2(-np.arange(1, 81))
-    q[-1] *= 2.0
-    with pytest.raises(BinUnderflowError):
-        build(q, "finite:1,1", normalize=True)
-
-
 def test_dyadic_within_envelope_is_optimal():
-    q = np.exp2(-np.arange(1, 41))
-    q[-1] *= 2.0
-    tree = build(q, "finite:1,1", normalize=True)
-    # dyadic probabilities under unit costs: cost equals the entropy exactly
-    H = -math.fsum(p * math.log2(p) for p in q / q.sum())
-    assert tree.cost() == pytest.approx(H, abs=1e-9)
-    for i, p in enumerate(q / q.sum()):
-        if i < 40:
-            assert len(codeword_letters(tree, i)) <= 41
+    # At n = 80 the tail's masses lie below an ulp of their bins' left ends:
+    # those bins collapse to zero width and steal like empty ones.
+    for n in (40, 80):
+        q = np.exp2(-np.arange(1, n + 1))
+        q[-1] *= 2.0
+        tree = build(q, "finite:1,1", normalize=True)
+        # dyadic probabilities under unit costs: cost equals the entropy exactly
+        H = -math.fsum(p * math.log2(p) for p in q / q.sum())
+        assert tree.cost() == pytest.approx(H, abs=1e-9)
+        for i in range(n):
+            assert len(codeword_letters(tree, i)) <= n + 1
+
+
+# Geometric and dyadic tails whose masses fall below an ulp of their bins'
+# left ends, or past where an infinite alphabet's cumulative letter weight
+# stops growing, over every cost family the CLI matrix runs.
+COLLAPSE_GENS = ("geom:0.5,60", "geom:0.5,200", "geom:0.3,100", "geom:0.9,400",
+                 "dyadic:60", "dyadic:100")
+COLLAPSE_SPECS = (
+    "finite:1,2", "finite:1,1", "finite:1,1.5,3", "finite:2,3,7",
+    "finite:1,1,1,1", "telegraph", "rll:1,3", "rll:2,5", "linear",
+    "repeat:1", "repeat:3", "fib", "balanced", "profile:1,1",
+    "profile:0,2,1", "profile:2,1,1;tail=zero", "profile:1,0,2;tail=repeat",
+    "profile:0,1;tail=repeat", "profile:1,1,0;tail=repeat",
+)
+
+
+@pytest.mark.parametrize("gen", COLLAPSE_GENS)
+def test_collapsed_bins_build_the_exact_split(gen):
+    """A bin whose float width collapsed steals like an empty one: the code
+    is prefix-free, keeps every applicable bound, and matches the split in
+    exact rationals up to symbols of negligible mass."""
+    for spec_text in COLLAPSE_SPECS:
+        tree = build(parse_gen(gen, 0), spec_text)
+        assert verify_prefix_free([w for _, w, _ in tree.codewords()])
+        assert kraft_sum(tree) <= 1.0 + 1e-12
+        rep = report(tree)
+        for b in rep.bounds:
+            if b.applicable:
+                assert rep.nr <= b.value + 1e-9, (spec_text, b.name)
+        exact = exact_split_costs(tree)
+        probs = tree.input.probs.tolist()
+        cost = math.fsum(p * c for p, c in zip(probs, exact))
+        assert tree.cost() == pytest.approx(cost, rel=1e-14, abs=0.0), spec_text
+        moved = [p for p, a, b in zip(probs, tree.leaf_costs.tolist(), exact) if a != b]
+        assert math.fsum(moved) <= 1e-12, spec_text
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +392,6 @@ def test_nodes_in_level_order_and_stats_count_them(spec_text, gen):
         probs = np.concatenate((make_probs("zipf:1.0", 300, 0), np.full(700, 1e-300)))
     else:
         probs = parse_gen(gen, 0)
-    if gen == "tiny" and spec_text == "linear":
-        # the bins of linear's deep letters are narrower than an ulp of L
-        with pytest.raises(BinUnderflowError):
-            build(probs, spec_text, normalize=True)
-        return
     tree = build(probs, spec_text, normalize=True)
     parent, letter = tree._parent, tree._letter
     depth = np.zeros(tree.num_nodes, dtype=np.int64)

@@ -511,6 +511,14 @@ def test_parse_errors():
             parse_cost_spec(text)
 
 
+def test_rll_bounds_must_be_integers():
+    # Non-integer bounds were once truncated: rll:1.5,3.9 gave costs 1, 2, 3.
+    for text in ("rll:1.5,3.9", "rll:1,3.5", "rll:2.5,4"):
+        with pytest.raises(CostSpecError, match="rll takes two integers"):
+            parse_cost_spec(text)
+    assert parse_cost_spec("rll:1.0,3.0").costs == parse_cost_spec("rll:1,3").costs
+
+
 def test_parse_roundtrips_through_label():
     for text in ("finite:1,2,3", "linear", "repeat:4", "fib", "balanced"):
         spec = parse_cost_spec(text)

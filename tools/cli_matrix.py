@@ -53,11 +53,21 @@ PARSE_ERRORS = (
     ("root", "--costs", "rll:1,1e309"),
     ("root", "--costs", "profile:1,inf"),
     ("root", "--costs", "rll:1,1000000"),
+    # A non-integer rll bound.
+    ("root", "--costs", "rll:1.5,3.9"),
 )
 # Roots at both ends of the root bracket: the largest profile coefficient's,
 # and one far below the bisection's absolute tolerance; and a repeating
 # profile whose weighted sum nears the float maximum.
 EXTREME_ROOTS = ("profile:1e300", "finite:1,1e300", "profile:1e308,1e308;tail=repeat")
+# Geometric and dyadic tails whose deep bins are narrower than an ulp of
+# their left ends, or lie where an infinite alphabet's cumulative letter
+# weight stops growing: each such bin counts as empty.  n stays at most 400:
+# on a finite alphabet a geometric source makes chains about n deep, so the
+# codeword output grows as n^2.
+COLLAPSED_BINS = tuple(("--gen", g) for g in (
+    "geom:0.5,60", "geom:0.5,200", "geom:0.3,100", "geom:0.9,400", "dyadic:60",
+    "dyadic:100"))
 # The oracle at the largest n it takes, the size its audits search.
 ORACLE_INPUT = ("--gen", "zipf:1.0,10")
 # An optimal code whose C(T) is 1 ulp below OPT's rearranged sum at 3.3e299.
@@ -88,6 +98,9 @@ def cases():
             yield ("oracle", "--costs", spec) + ORACLE_INPUT + fmt
     for fmt in FORMATS:
         yield HUGE_SCALE_COMPARE + fmt
+    for spec in SPECS:
+        for inp in COLLAPSED_BINS:
+            yield ("code", "--costs", spec) + inp + ("--format", "json")
 
 
 def run(main, argv):
