@@ -175,18 +175,25 @@ def test_deep_chain_of_zeros():
     assert tree.cost() == pytest.approx(1.0)
 
 
+def _check_dyadic_optimal(n):
+    q = np.exp2(-np.arange(1, n + 1))
+    q[-1] *= 2.0
+    tree = build(q, "finite:1,1", normalize=True)
+    # dyadic probabilities under unit costs: cost equals the entropy exactly
+    H = -math.fsum(p * math.log2(p) for p in q / q.sum())
+    assert tree.cost() == pytest.approx(H, abs=1e-9)
+    for i in range(n):
+        assert len(codeword_letters(tree, i)) <= n + 1
+
+
 def test_dyadic_within_envelope_is_optimal():
+    _check_dyadic_optimal(40)
+
+
+def test_sub_ulp_dyadic_tail_is_optimal():
     # At n = 80 the tail's masses lie below an ulp of their bins' left ends:
     # those bins collapse to zero width and steal like empty ones.
-    for n in (40, 80):
-        q = np.exp2(-np.arange(1, n + 1))
-        q[-1] *= 2.0
-        tree = build(q, "finite:1,1", normalize=True)
-        # dyadic probabilities under unit costs: cost equals the entropy exactly
-        H = -math.fsum(p * math.log2(p) for p in q / q.sum())
-        assert tree.cost() == pytest.approx(H, abs=1e-9)
-        for i in range(n):
-            assert len(codeword_letters(tree, i)) <= n + 1
+    _check_dyadic_optimal(80)
 
 
 # Geometric and dyadic tails whose masses fall below an ulp of their bins'
