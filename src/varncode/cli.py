@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-import platform
 import sys
 import time
 
@@ -373,6 +372,8 @@ def _bench_layers(spec_text: str, dist: str, n: int, args) -> dict:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import platform  # only bench reads it; every other command's startup counts
+
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if args.fmt == "json":
         emit_json({

@@ -7,6 +7,19 @@ with the k cheapest letters (using any other letters, or skipping a cheaper
 one, can never help).  Probabilities never enter the search: once a leaf-cost
 multiset is fixed, the best assignment pairs the largest probability with the
 smallest cost (rearrangement), so states are compared by that value alone.
+Words never enter it either: a state holds only their costs, and the search
+keeps the decisions (leaf, or expand by k letters) that led to the best code.
+The witness words come from replaying those decisions on (cost, word) pairs,
+the head being the least pair.  Which of two equal-cost words is the head
+changes no cost, so the replay passes through the same cost states, and its
+words are the ones a search over pairs would return.
+
+A state whose frontier and leaves already number n can expand no word: it is
+a forced completion.  It is finished in one step, all its frontier words
+becoming leaves, or is a dead end if its head may not be a leaf (see below).
+The states on the way to that leaf set have lower bounds no greater than its
+value, so finishing it at once keeps the optimum and its witness words and
+only searches fewer states.
 
 The lower bound completes a state with the cheapest n - |done| words reachable
 from the frontier, generated in cost order from a heap; this never exceeds the
@@ -99,78 +112,97 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
             opt_words=((1,),),
         )
 
-    def value_of(sorted_costs):
-        return math.fsum(map(operator.mul, probs, sorted_costs))
+    def replay(decisions):
+        # The search's decisions on (cost, word) pairs: the head is the least
+        # pair, so equal-cost words are taken in word order.
+        frontier, done = [(0.0, ())], []
+        for k in decisions:
+            (cost, word), frontier = frontier[0], frontier[1:]
+            if k == 1:
+                done.append((cost, word))
+            else:
+                frontier = sorted(frontier + [(cost + costs[i], word + (i + 1,))
+                                              for i in range(k)])
+        return sorted(done)
 
-    def greedy_complete():
-        # Expand the cheapest node with as many letters as still fit.
-        heap = [(0.0, ())]
-        while len(heap) < n:
-            cost, word = heapq.heappop(heap)
-            k = min(t, n - len(heap))
-            for i in range(k):
-                heapq.heappush(heap, (cost + costs[i], word + (i + 1,)))
-        return sorted(heap)
-
-    best_leaves = greedy_complete()
-    best_value = value_of([w for w, _ in best_leaves])
+    # The greedy code: expand the cheapest word with as many letters as still
+    # fit, then make every word a leaf.
+    greedy, slots = [], 1
+    while slots < n:
+        greedy.append(min(t, n - slots + 1))
+        slots += greedy[-1] - 1
+    greedy += [1] * n
+    fsum, mul = math.fsum, operator.mul
+    best_leaves = replay(greedy)
+    best_value = fsum(map(mul, probs, [w for w, _ in best_leaves]))
+    best_path = greedy  # the decisions to the incumbent, None while there is none
     if best_value > ceiling:
-        best_leaves = None
-        best_value = math.inf
+        best_path, best_value = None, math.inf
 
     # The equal-cost symmetry rule needs every child to cost more than its
     # parent (see the module docstring).
     symmetric = math.ulp(n * costs[-1]) < costs[0]
-    heappop, heappush = heapq.heappop, heapq.heappush
+    heapreplace, heappush = heapq.heapreplace, heapq.heappush
+    cheapest, dearer = costs[0], costs[1:]
+    path = []  # the decisions (1 = leaf, k = expand by k letters) down to this state
     nodes = 0
 
     def search(frontier, done, kmin):
-        # frontier: ascending list of (cost, word); done: list of (cost, word),
-        # ascending in cost, as heads are taken in cost order; kmin: the least
-        # decision (1 = leaf, k = expand by k letters) the head may take.
-        # |done| + |frontier| never exceeds n, so a leaf always fits.
-        nonlocal best_value, best_leaves, nodes
+        # frontier: ascending list of word costs; done: the leaf costs, taken
+        # as heads in cost order, and no child costs less than its parent, so
+        # done + frontier is ascending; kmin: the least decision the head may
+        # take.  |done| + |frontier| never exceeds n, so a leaf always fits.
+        nonlocal best_value, best_path, nodes
         nodes += 1
-        if not frontier:
-            if len(done) == n:
-                value = value_of(sorted(w for w, _ in done))
+        if len(done) + len(frontier) == n:
+            # A forced completion (see the module docstring): every frontier
+            # word becomes a leaf, unless the head may not be one.
+            if kmin == 1:
+                value = fsum(map(mul, probs, done + frontier))
                 if value < best_value - _IMPROVE and value <= ceiling:
                     best_value = value
-                    best_leaves = sorted(done)
+                    best_path = path + [1] * len(frontier)
+            return
+        if not frontier:
             return
         # Lower bound: complete the state with the cheapest n - |done| words
         # reachable from the frontier, popped in cost order from a heap seeded
         # with the whole frontier (an ascending list is a heap).  No pick
         # costs less than a done word, so done + picks is ascending as built.
-        completion = [w for w, _ in done]
-        heap = [w for w, _ in frontier]
+        completion = done[:]
+        heap = frontier[:]
         for _ in range(n - len(done) - 1):
-            w = heappop(heap)
+            w = heapreplace(heap, heap[0] + cheapest)
             completion.append(w)
-            for ci in costs:
+            for ci in dearer:
                 heappush(heap, w + ci)
         completion.append(heap[0])
-        lb = value_of(completion)
-        if lb > ceiling:
-            return
-        if best_leaves is not None and lb >= best_value - _IMPROVE:
+        lb = fsum(map(mul, probs, completion))
+        # With no incumbent best_value is inf, and an infinite bound already
+        # exceeds the (then finite) ceiling.
+        if lb > ceiling or lb >= best_value - _IMPROVE:
             return
         head, rest = frontier[0], frontier[1:]
-        cost, word = head
         # children cost more, so a tie can only be the next frontier word
-        tied = symmetric and bool(rest) and rest[0][0] == cost
+        tied = symmetric and bool(rest) and rest[0] == head
         # finalize the cheapest frontier word as a leaf
         if kmin == 1:
+            path.append(1)
             search(rest, done + [head], 1)
+            path.pop()
         # or expand it with the k cheapest letters
         max_k = min(t, n - len(done) - len(frontier) + 1)
-        children = [(cost + costs[i], word + (i + 1,)) for i in range(max_k)]
+        children = [head + ci for ci in costs[:max_k]]
         for k in range(max(2, kmin), max_k + 1):
+            path.append(k)
             search(sorted(rest + children[:k]), done, k if tied else 1)
+            path.pop()
 
-    search([(0.0, ())], [], 1)
-    if best_leaves is None:
+    search([0.0], [], 1)
+    if best_path is None:
         raise CapTooSmallError("no prefix-free code exists at or below the cap")
+    if best_path is not greedy:
+        best_leaves = replay(best_path)
     return OracleResult(
         opt_cost=best_value,
         opt_codeword_costs=tuple(w for w, _ in best_leaves),

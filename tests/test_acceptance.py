@@ -253,14 +253,20 @@ def test_criterion_8_truncated_linear_constants():
     finish(8, "truncated-linear bound constants", t0, 1.0, bad)
 
 
-def median_build_time(spec, root, n, repeats=5):
-    pin = prepare(make_probs("zipf:1.0", n, 0))
-    times = []
+def median_build_times(spec, root, n, repeats=5):
+    """Median build seconds at n and at 2n.
+
+    The two sizes are built in alternation, so that a slow stretch of the
+    machine falls on both and does not pass for a change in the ratio.
+    """
+    pins = [prepare(make_probs("zipf:1.0", m, 0)) for m in (n, 2 * n)]
+    times = ([], [])
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        build_code(pin, spec, root)
-        times.append(time.perf_counter() - t0)
-    return sorted(times)[len(times) // 2]
+        for pin, runs in zip(pins, times):
+            t0 = time.perf_counter()
+            build_code(pin, spec, root)
+            runs.append(time.perf_counter() - t0)
+    return [sorted(runs)[repeats // 2] for runs in times]
 
 
 def test_criterion_9_performance_scaling():
@@ -277,8 +283,7 @@ def test_criterion_9_performance_scaling():
     if kraft_sum(tree) > 1.0 + 1e-9:
         bad.append("kraft violation at n=10^6")
     for base in (10 ** 4, 10 ** 5):
-        t1 = median_build_time(spec, root, base)
-        t2 = median_build_time(spec, root, 2 * base)
+        t1, t2 = median_build_times(spec, root, base)
         if t2 / t1 > 2.5:
             bad.append(f"doubling ratio {t2 / t1:.2f} at n={base}")
     finish(9, "build performance and doubling ratio", t0, 60.0, bad)

@@ -1,5 +1,6 @@
 """Tests for the exact small-instance oracle and equal-cost cross-check."""
 
+import functools
 import heapq
 import itertools
 import math
@@ -253,13 +254,15 @@ def test_cap_slack_scales_with_the_cap():
 # the pruned search against the unpruned one
 # ---------------------------------------------------------------------------
 
-def _reference_exact_opt(pinput, spec, cap=None):
+def _reference_exact_opt(pinput, spec, cap=None, forced=False):
     """exact_opt's search without its equal-cost symmetry rule.
 
     Every order of decisions over equal-cost words is searched, and the lower
     bound heaps every child of every pick.  The decisions are tried in the
     same depth-first order, so the results must be exact_opt's; only the
-    number of states searched may differ.
+    number of states searched may differ.  `forced` makes every word of a
+    state that can expand none a leaf in one step, as exact_opt does; it
+    changes only that number.
     """
     t = int(spec.alphabet_size)
     n = pinput.n
@@ -315,6 +318,12 @@ def _reference_exact_opt(pinput, spec, cap=None):
                     best_leaves = sorted(done)
             return
         slots = len(done) + len(frontier)
+        if forced and slots == n:
+            value = value_of(sorted(w for w, _ in done + frontier))
+            if value < best_value - improve and value <= ceiling:
+                best_value = value
+                best_leaves = sorted(done + frontier)
+            return
         need = n - len(done)
         lb = lower_bound([w for w, _ in frontier], [w for w, _ in done], need)
         if lb > ceiling:
@@ -349,15 +358,19 @@ def _outcome(search, pin, spec, cap):
 def assert_matches_reference(pin, spec, cap):
     """Same optimum, witness and refusals as the reference; no more states.
 
-    Returns the reference's optimum, or None when it refused the cap, and
-    both state counts.
+    Returns the reference's optimum, or None when it refused the cap, and the
+    state counts of exact_opt and of the reference with forced completions.
     """
     got, nodes = _outcome(exact_opt, pin, spec, cap)
     want, ref_nodes = _outcome(_reference_exact_opt, pin, spec, cap)
     assert got == want
     assert nodes <= ref_nodes
+    forced, forced_nodes = _outcome(functools.partial(_reference_exact_opt, forced=True),
+                                    pin, spec, cap)
+    assert forced == want
+    assert forced_nodes <= ref_nodes
     opt = None if want == "cap" else float.fromhex(want[0])
-    return opt, nodes, ref_nodes
+    return opt, nodes, forced_nodes
 
 
 # finite:1e-300,1 normalises to costs 1 and 1e300, whose sum absorbs the 1.
@@ -384,8 +397,33 @@ def test_exact_opt_matches_the_unpruned_search(spec_text):
                 ref_nodes += ref_more
             total += nodes
             ref_total += ref_nodes
+    # ref_total counts the reference's states with forced completions
     if spec_text == "finite:1e-300,1":
         # absorption turns the symmetry rule off: the same states are searched
         assert total == ref_total
     else:
         assert total < ref_total
+
+
+# Each search's state count, and the witness it returns: the greedy code when
+# nothing beats it, else the replay of the decisions that led to the optimum.
+PINNED_SEARCHES = (
+    # the greedy code is optimal
+    ("finite:1,3", THIRDS_SIXTHS, 13, ((1, 1, 1), (2,), (1, 2), (1, 1, 2))),
+    # the search beats the greedy code
+    ("finite:1,2", (0.9, 0.05, 0.05), 7, ((1,), (2, 1), (2, 2))),
+    # two letters of equal cost: forced states are reached whose head may not
+    # be a leaf, and are dead ends
+    ("finite:1,1,2", (0.3, 0.2, 0.2, 0.1, 0.1, 0.1), 52,
+     ((1,), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2))),
+)
+
+
+@pytest.mark.parametrize("spec_text, probs, nodes, words", PINNED_SEARCHES)
+def test_search_states_and_witness_are_pinned(spec_text, probs, nodes, words):
+    pin, spec = prepare(probs), parse_cost_spec(spec_text)
+    res = exact_opt(pin, spec)
+    assert res.nodes_explored == nodes
+    assert res.opt_words == words
+    assert _outcome(exact_opt, pin, spec, None)[0] == \
+        _outcome(_reference_exact_opt, pin, spec, None)[0]
