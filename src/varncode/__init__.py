@@ -50,7 +50,6 @@ from .costs import (
 from .errors import (
     CapTooSmallError,
     CostSpecError,
-    DivergentTailError,
     OracleTooLargeError,
     ProbInputError,
     VarncodeError,

@@ -16,7 +16,6 @@ import numpy as np
 
 from .coder import CodeTree, ProbInput
 from .costs import CharRoot, CostSpec
-from .errors import DivergentTailError
 
 BOUND_REFERENCE = "Mehlhorn_eqMbound"
 BOUND_MAX_COST = "Thm_first"
@@ -112,9 +111,7 @@ def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
     if not 0.0 < epsilon <= 0.5:
         raise ValueError("epsilon must lie in (0, 1/2]")
     if not root.tail_convergent:
-        raise DivergentTailError(
-            "approximation bound needs a convergent cost-weighted tail"
-        )
+        raise ValueError("approximation bound needs a convergent cost-weighted tail")
     c = root.value
     target = epsilon / 6.0
     threshold, count, tail = 0.0, 0, spec.weighted_sum(c)

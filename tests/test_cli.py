@@ -283,25 +283,12 @@ def test_compare_flags_violations(capsys, monkeypatch):
     assert "VIOLATION" in out
 
 
-def test_bench_csv(capsys):
-    code, out, err = run(
-        capsys, "bench", "--costs", "linear", "--sizes", "100,200",
-        "--dist", "zipf:1.0", "--repeats", "2",
-    )
-    assert code == EXIT_OK
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,seconds,cost,nr"
-    assert lines[1].startswith("100,")
-    assert lines[2].startswith("200,")
-    assert len(lines) == 3
-
-
 def test_bench_json_times_every_layer(capsys):
     code, out, err = run(
         capsys, "bench", "--costs", "linear", "finite:1,2", "--sizes", "100,200",
-        "--dist", "zipf:1.0", "uniform", "--repeats", "2", "--format", "json",
+        "--dist", "zipf:1.0", "uniform", "--repeats", "2",
     )
-    assert code == EXIT_OK
+    assert code == EXIT_OK, err
     doc = json.loads(out)
     assert doc["repeats"] == 2 and doc["statistic"] == "median"
     assert doc["numpy"] == np.__version__
@@ -312,12 +299,30 @@ def test_bench_json_times_every_layer(capsys):
         assert sorted(row["seconds"]) == ["build_code", "codeword_lines", "emit",
                                           "parse_root", "prepare", "report"]
         assert all(s >= 0.0 for s in row["seconds"].values())
+        assert 0.0 <= row["nr"] <= row["bound"] + 1e-7
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--costs", "linear", "--format", "json"])
+    assert exc.value.code == EXIT_PARSE
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
-def test_bench_csv_takes_one_spec(capsys):
-    code, _, err = run(capsys, "bench", "--costs", "linear", "fib", "--sizes", "100")
-    assert code == EXIT_PARSE
-    assert "one --costs" in err
+def test_bench_flags_a_row_over_its_bound(capsys, monkeypatch):
+    monkeypatch.setattr("varncode.analysis.AnalysisReport.min_applicable",
+                        lambda self: -1.0)
+    code, out, err = run(capsys, "bench", "--costs", "linear", "--sizes", "50,60")
+    assert code == EXIT_VIOLATION
+    rows = json.loads(out)["rows"]
+    assert [r["bound"] for r in rows] == [-1.0, -1.0]
+    assert err.splitlines() == [
+        f"VIOLATION: nr exceeds bound for linear zipf:1.0 n={n}" for n in (50, 60)]
+
+
+def test_bench_row_without_a_bound(capsys):
+    code, out, err = run(capsys, "bench", "--costs", "balanced", "--sizes", "50")
+    assert code == EXIT_OK, err
+    (row,) = json.loads(out)["rows"]
+    assert row["bound"] is None and row["nr"] >= 0.0
+    assert err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +522,6 @@ def test_exit_oracle_errors(capsys):
 ERROR_MAPPING = {
     "CostSpecError": ("parse", 2),
     "ProbInputError": ("parse", 2),
-    "DivergentTailError": ("divergent_tail", 3),
     "OracleTooLargeError": ("oracle_too_large", 4),
     "CapTooSmallError": ("cap_too_small", 4),
 }

@@ -43,6 +43,7 @@ def test_oracle_limit_counts_letters():
 def test_readme_names_no_removed_option():
     assert "dominator" not in README
     assert "--tol" not in README
+    assert "CSV" not in section("Command line")
 
 
 def test_cli_block_runs(tmp_path, monkeypatch, capsys):
