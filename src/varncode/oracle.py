@@ -15,15 +15,32 @@ changes no cost, so the replay passes through the same cost states, and its
 words are the ones a search over pairs would return.
 
 A state whose frontier and leaves already number n can expand no word: it is
-a forced completion.  It is finished in one step, all its frontier words
-becoming leaves, or is a dead end if its head may not be a leaf (see below).
-The states on the way to that leaf set have lower bounds no greater than its
-value, so finishing it at once keeps the optimum and its witness words and
-only searches fewer states.
+a forced completion, finished in one step, all its frontier words becoming
+leaves.  The states on the way to that leaf set have lower bounds no greater
+than its value, so finishing it at once keeps the optimum and its witness
+words and only searches fewer states.  Two kinds of dead end are never
+entered: a leaf that empties the frontier short of n leaves, and a tied
+expansion (see below) to a forced completion whose head may not be a leaf.
 
-The lower bound completes a state with the cheapest n - |done| words reachable
-from the frontier, generated in cost order from a heap; this never exceeds the
-value of any true completion, so pruning is exact.
+Two lower bounds prune a state, the cheaper first.  The Kraft-entropy bound
+is the paper's H/c argument applied to the leaves still to be placed: with c'
+such that S(c') = sum_i 2^(-c' c_i) <= 1, the leaves under a frontier word of
+cost f have sum 2^(-c' l) <= 2^(-c' f), so by Gibbs' inequality a completion
+costs at least done.p + E, E = (H(q) + Q log2 Q - Q log2 K) / c'.  K is the
+frontier's sum of 2^(-c' f); q are the n - |done| smallest probabilities (the
+done words are the cheapest, so they take the largest), Q their sum and
+H(q) = -sum q log2 q.  c' is certified: S(c') <= 1 beyond the rounding of its
+evaluation.  Each frontier word carries its 2^(-c' f), a child's being its
+parent's times 2^(-c' c_i), in an ascending list whose largest the head takes.
+Dividing by c' amplifies rounding, so the bound subtracts the margin
+8 n u ((H(q) + |Q log2 Q| + 2Q + |Q log2 K|) / c' + n c_t Q + done.p + |E|),
+u = 2^-53, which covers the rounding of the word costs, the carried powers,
+the sums, logarithms and products, and the search's value of a completion.
+It is skipped where Q = 0, or where K < 2^-1000 and the powers may have
+underflowed.  The heap bound, built only when the first does not prune,
+completes the state with the cheapest n - |done| words reachable from the
+frontier, taken in cost order.  Neither exceeds the value of any completion,
+so the optimum and its witness words are the ones the unpruned search finds.
 
 Equal-cost words decide in order.  When every child costs strictly more than
 its parent, all words of the head's cost are already in the frontier and are
@@ -58,6 +75,10 @@ _IMPROVE = 1e-12
 # A cap admits costs up to this much above it, or n ulps of the cap where
 # that is more.
 _CAP_SLACK = 1e-9
+# The unit roundoff, and the least Kraft sum K the bound reads: below it the
+# carried powers may have lost their relative precision to underflow.
+_U = 2.0 ** -53
+_KRAFT_FLOOR = 2.0 ** -1000
 
 
 @dataclass(frozen=True)
@@ -74,6 +95,55 @@ class OracleResult:
     nodes_explored: int
     cost_cap_used: float
     opt_words: tuple[tuple[int, ...], ...]
+
+
+def _kraft_exponent(costs: list[float]) -> float | None:
+    """c' at or above the characteristic root, S(c') <= 1 certified, or None.
+
+    phi(c) = log2 sum_{i>1} 2^(-c c_i) - log2(1 - 2^(-c c_1)) is convex and
+    decreasing with the same root, and stays in range for any cost ratio.  The
+    root lies in [log2 t / mean(c_i), log2 t / c_1] (Jensen); bisection in
+    log2 c narrows that to a factor 2, and Newton climbs to it from below.  c'
+    then steps up until S(c') - 1, its cheapest term as expm1, is below minus
+    a bound on its own rounding.
+    """
+    t, c1, c2 = len(costs), costs[0], costs[1]
+    dearer = costs[1:]
+    gaps = [ci - c2 for ci in dearer]
+    ln2 = math.log(2.0)
+
+    def phi(c):  # phi(c) and phi'(c)
+        ws = [2.0 ** (-c * g) for g in gaps]
+        r = sum(ws)
+        return (math.log2(r) - c * c2 - math.log2(-math.expm1(-c * c1 * ln2)),
+                -c2 - math.fsum(map(operator.mul, ws, gaps)) / r
+                - c1 / math.expm1(c * c1 * ln2))
+
+    try:
+        lo, hi = math.log2(t) / math.fsum(ci / t for ci in costs), math.log2(t) / c1
+        while hi > 2.0 * lo:
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            lo, hi = (mid, hi) if phi(mid)[0] > 0.0 else (lo, mid)
+        c = lo
+        for _ in range(100):
+            value, slope = phi(c)
+            c -= value / slope
+            if abs(value / slope) <= 1e-8 * c:  # the next step would be below an ulp
+                break
+        for k in range(6, 66):  # up by 64 ulps of c, then by doubling steps
+            c *= 1.0 + 2.0 ** (k - 53)
+            head = math.expm1(-c * c1 * ln2)
+            terms = [2.0 ** (-c * ci) for ci in dearer]
+            # a few roundings of each term, c*c_i more of a power from its
+            # rounded exponent, t of the sum, and t subnormal ulps
+            err = 2 * (t + 5) * _U * (
+                -head + math.fsum((1.0 + c * ci) * w for ci, w in zip(dearer, terms))
+            ) + t * 2.0 ** -1074
+            if head + sum(terms) + err <= 0.0:
+                return c
+    except (ArithmeticError, ValueError):
+        pass
+    return None
 
 
 def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> OracleResult:
@@ -142,36 +212,66 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
     # The equal-cost symmetry rule needs every child to cost more than its
     # parent (see the module docstring).
     symmetric = math.ulp(n * costs[-1]) < costs[0]
-    heapreplace, heappush = heapq.heapreplace, heapq.heappush
+    heapreplace, heappush, log2 = heapq.heapreplace, heapq.heappush, math.log2
     cheapest, dearer = costs[0], costs[1:]
+    # The Kraft-entropy bound's terms for the q = probs[d:] still to place,
+    # per count d of leaves placed, while Q > 0 (see the module docstring),
+    # summed from the smallest probability up.
+    kraft, cp = [], _kraft_exponent(costs)
+    powers_of = [0.0] * t
+    if cp is not None:
+        powers_of = [2.0 ** (-cp * ci) for ci in costs]
+        e = 8 * n * _U
+        ec = e / cp
+        big_q = h = 0.0
+        for d in range(n - 1, -1, -1):
+            if probs[d] > 0.0:
+                big_q += probs[d]
+                h -= probs[d] * log2(probs[d])
+            if big_q > 0.0 and d < n - 1:
+                qq = big_q * log2(big_q)
+                kraft.append((big_q, h + qq,
+                              e * ((h + abs(qq) + 2 * big_q) / cp + n * costs[-1] * big_q)))
+        kraft.reverse()
     path = []  # the decisions (1 = leaf, k = expand by k letters) down to this state
     nodes = 0
 
-    def search(frontier, done, kmin):
+    def search(frontier, powers, done, dp, kmin):
         # frontier: ascending list of word costs; done: the leaf costs, taken
         # as heads in cost order, and no child costs less than its parent, so
-        # done + frontier is ascending; kmin: the least decision the head may
-        # take.  |done| + |frontier| never exceeds n, so a leaf always fits.
+        # done + frontier is ascending; powers: the frontier's 2^(-c' f),
+        # ascending; dp: done's cost paired with the largest probabilities;
+        # kmin: the least decision the head may take.  |done| + |frontier| is
+        # below n but for a forced completion, whose head may be a leaf.
         nonlocal best_value, best_path, nodes
         nodes += 1
-        if len(done) + len(frontier) == n:
+        d = len(done)
+        if d + len(frontier) == n:
             # A forced completion (see the module docstring): every frontier
-            # word becomes a leaf, unless the head may not be one.
-            if kmin == 1:
-                value = fsum(map(mul, probs, done + frontier))
-                if value < best_value - _IMPROVE and value <= ceiling:
-                    best_value = value
-                    best_path = path + [1] * len(frontier)
+            # word becomes a leaf.
+            value = fsum(map(mul, probs, done + frontier))
+            if value < best_value - _IMPROVE and value <= ceiling:
+                best_value = value
+                best_path = path + [1] * len(frontier)
             return
-        if not frontier:
-            return
-        # Lower bound: complete the state with the cheapest n - |done| words
-        # reachable from the frontier, popped in cost order from a heap seeded
-        # with the whole frontier (an ascending list is a heap).  No pick
-        # costs less than a done word, so done + picks is ascending as built.
+        # The Kraft-entropy bound first: it costs O(|frontier|).
+        if d < len(kraft):
+            big_k = sum(powers)
+            if big_k >= _KRAFT_FLOOR:
+                big_q, g, a = kraft[d]
+                lk = big_q * log2(big_k)
+                nb = (g - lk) / cp
+                lb = dp + nb - a - e * (dp + abs(nb)) - ec * abs(lk)
+                if lb > ceiling or lb >= best_value - _IMPROVE:
+                    return
+        # The heap bound: complete the state with the cheapest n - |done|
+        # words reachable from the frontier, popped in cost order from a heap
+        # seeded with the whole frontier (an ascending list is a heap).  No
+        # pick costs less than a done word, so done + picks is ascending as
+        # built.
         completion = done[:]
         heap = frontier[:]
-        for _ in range(n - len(done) - 1):
+        for _ in range(n - d - 1):
             w = heapreplace(heap, heap[0] + cheapest)
             completion.append(w)
             for ci in dearer:
@@ -183,22 +283,29 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
         if lb > ceiling or lb >= best_value - _IMPROVE:
             return
         head, rest = frontier[0], frontier[1:]
+        power, others = powers[-1], powers[:-1]
         # children cost more, so a tie can only be the next frontier word
         tied = symmetric and bool(rest) and rest[0] == head
-        # finalize the cheapest frontier word as a leaf
-        if kmin == 1:
+        # finalize the cheapest frontier word as a leaf, unless that empties
+        # the frontier short of n leaves
+        if kmin == 1 and rest:
             path.append(1)
-            search(rest, done + [head], 1)
+            search(rest, others, done + [head], dp + probs[d] * head, 1)
             path.pop()
-        # or expand it with the k cheapest letters
-        max_k = min(t, n - len(done) - len(frontier) + 1)
+        # or expand it with the k cheapest letters; a tied expansion to n
+        # words is a forced completion whose head may not be a leaf
+        max_k = min(t, n - d - len(frontier) + 1)
+        if tied and d + len(rest) + max_k == n:
+            max_k -= 1
         children = [head + ci for ci in costs[:max_k]]
+        child_powers = [power * w for w in powers_of[:max_k]]
         for k in range(max(2, kmin), max_k + 1):
             path.append(k)
-            search(sorted(rest + children[:k]), done, k if tied else 1)
+            search(sorted(rest + children[:k]), sorted(others + child_powers[:k]),
+                   done, dp, k if tied else 1)
             path.pop()
 
-    search([0.0], [], 1)
+    search([0.0], [1.0], [], 0.0, 1)
     if best_path is None:
         raise CapTooSmallError("no prefix-free code exists at or below the cap")
     if best_path is not greedy:

@@ -19,6 +19,7 @@ from varncode import (
     exact_opt,
     finite_list,
     linear,
+    oracle,
     parse_cost_spec,
     prepare,
 )
@@ -331,7 +332,7 @@ def _reference_exact_opt(pinput, spec, cap=None, forced=False):
         if best_leaves is not None and lb >= best_value - improve:
             return
         head, rest = frontier[0], frontier[1:]
-        if slots <= n:
+        if slots <= n and (rest or not forced):
             search(rest, done + [head])
         cost, word = head
         for k in range(2, min(t, n - slots + 1) + 1):
@@ -405,21 +406,89 @@ def test_exact_opt_matches_the_unpruned_search(spec_text):
         assert total < ref_total
 
 
+def _letter_costs(spec):
+    return [spec.letter_cost(m) for m in range(1, int(spec.alphabet_size) + 1)]
+
+
+def _root_60_digits(costs, mpmath):
+    """The root of S(c) = 1, bisected in log c at 60 digits."""
+    mpmath.mp.dps = 60
+    ln2 = mpmath.log(2)
+
+    def g(c):  # S(c) - 1, with the cheapest term as expm1
+        return mpmath.expm1(-c * costs[0] * ln2) + mpmath.fsum(
+            mpmath.power(2, -c * ci) for ci in costs[1:])
+
+    lo, hi = mpmath.mpf(10) ** -320, mpmath.mpf(4) / costs[0]
+    while hi / lo - 1 > mpmath.mpf(10) ** -50:
+        mid = mpmath.sqrt(lo * hi)
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    return hi, g
+
+
+@pytest.mark.parametrize("spec_text", REFERENCE_SPECS + ("finite:1,1e10", "finite:1,1,1e-12,3"))
+def test_kraft_exponent_is_a_certified_root(spec_text):
+    # c' may sit above the root, never below it: S(c') <= 1 is what makes the
+    # Kraft-entropy bound a lower bound.
+    mpmath = pytest.importorskip("mpmath")
+    costs = _letter_costs(parse_cost_spec(spec_text))
+    cp = oracle._kraft_exponent(costs)
+    root, g = _root_60_digits(costs, mpmath)
+    assert mpmath.mpf(cp) >= root
+    assert g(mpmath.mpf(cp)) <= 0
+    assert abs(mpmath.mpf(cp) / root - 1) < 1e-9
+    if spec_text == "finite:1e-300,1":
+        assert abs(root / mpmath.mpf("9.87160e-298") - 1) < 1e-5
+
+
+# Cost ratios that stretch the bound's float margin, each with a
+# zero-probability last symbol.
+WIDE_SPECS = ("finite:1,1e10", "finite:1,1e4", "finite:1e-8,1,1", "finite:1,1.0000001",
+              "finite:1,1,1e-12,3")
+
+
+@pytest.mark.parametrize("spec_text", WIDE_SPECS)
+def test_wide_cost_ratios_match_the_unpruned_search(spec_text):
+    spec = parse_cost_spec(spec_text)
+    root = char_root(spec)
+    rng = np.random.default_rng(16)
+    for n in range(2, 11):
+        pin = prepare(np.append(rng.dirichlet([1.0] * (n - 1)), 0.0))
+        for cap in (None, build_code(pin, spec, root).cost()):
+            assert_matches_reference(pin, spec, cap)
+
+
+def test_search_without_a_certified_exponent(monkeypatch):
+    # With no c', only the heap bound prunes, and the results are the same.
+    rng = np.random.default_rng(17)
+    cases = [(parse_cost_spec(s), prepare(rng.dirichlet([1.0] * 7)))
+             for s in ("finite:1,2", "finite:1,1,5", "finite:1e-300,1")]
+    bounded = [_outcome(exact_opt, pin, spec, None) for spec, pin in cases]
+    monkeypatch.setattr(oracle, "_kraft_exponent", lambda costs: None)
+    for (spec, pin), (got, nodes) in zip(cases, bounded):
+        heap_only, more = _outcome(exact_opt, pin, spec, None)
+        assert heap_only == got
+        assert more >= nodes
+        assert_matches_reference(pin, spec, None)
+
+
 # Each search's state count, and the witness it returns: the greedy code when
 # nothing beats it, else the replay of the decisions that led to the optimum.
 PINNED_SEARCHES = (
     # the greedy code is optimal
-    ("finite:1,3", THIRDS_SIXTHS, 13, ((1, 1, 1), (2,), (1, 2), (1, 1, 2))),
+    ("finite:1,3", THIRDS_SIXTHS, 6, ((1, 1, 1), (2,), (1, 2), (1, 1, 2))),
     # the search beats the greedy code
-    ("finite:1,2", (0.9, 0.05, 0.05), 7, ((1,), (2, 1), (2, 2))),
-    # two letters of equal cost: forced states are reached whose head may not
-    # be a leaf, and are dead ends
-    ("finite:1,1,2", (0.3, 0.2, 0.2, 0.1, 0.1, 0.1), 52,
+    ("finite:1,2", (0.9, 0.05, 0.05), 5, ((1,), (2, 1), (2, 2))),
+    # two letters of equal cost: a tied expansion to n words would be a forced
+    # state whose head may not be a leaf, a dead end, so it is not entered
+    ("finite:1,1,2", (0.3, 0.2, 0.2, 0.1, 0.1, 0.1), 20,
      ((1,), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2))),
 )
 
 
-@pytest.mark.parametrize("spec_text, probs, nodes, words", PINNED_SEARCHES)
+# Named by spec alone, so that re-pinning a count keeps each test's name.
+@pytest.mark.parametrize("spec_text, probs, nodes, words", PINNED_SEARCHES,
+                         ids=[case[0] for case in PINNED_SEARCHES])
 def test_search_states_and_witness_are_pinned(spec_text, probs, nodes, words):
     pin, spec = prepare(probs), parse_cost_spec(spec_text)
     res = exact_opt(pin, spec)
