@@ -75,7 +75,7 @@ def multiplicity_bound(spec: CostSpec, root: CharRoot, p1: float) -> float:
     """
     K = spec.max_multiplicity()
     c = root.value
-    log_term = 1.0 + math.log2(K / (1.0 - 2.0 ** (-c)))
+    log_term = 1.0 + math.log2(K / -math.expm1(-c * math.log(2.0)))
     if not spec.integer_costs:
         log_term += c
     return 2.0 * (1.0 - p1) + max(c * spec.second_cost_gap, log_term)

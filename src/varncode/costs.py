@@ -15,6 +15,7 @@ terms of c and a few tail sums computed here.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -30,8 +31,6 @@ INTEGER_PROFILE = "IntegerProfile"
 # Costs within this distance of an integer are treated as integers (fast paths,
 # sharper multiplicity bounds).
 INTEGER_SNAP = 1e-9
-
-_ROOT_TOL = 1e-12
 
 # Walks over an infinite alphabet stop with CostSpecError past this level.
 _MAX_LEVEL = 10 ** 7
@@ -222,9 +221,8 @@ class BalancedWordsFamily(ProfileFamily):
         return max(x / math.sqrt(1.0 - x) - head, 0.0)
 
     def closed_root(self):
-        # The characteristic sum reaches 1 exactly at the convergence boundary
-        # z = 1/2; its slope is infinite there, which is why this root is not
-        # reachable by bisection to `_ROOT_TOL`.
+        # S reaches 1 at its convergence boundary z = 1/2, where its slope is
+        # infinite and past which it diverges: no Newton step could reach it.
         return 1.0
 
     def max_multiplicity(self):
@@ -605,9 +603,9 @@ def _parse_floats(text: str, what: str) -> list[float]:
 class CharRoot:
     """Characteristic root c with its certificate.
 
-    `tolerance` bounds |value - true root|; `residual` is the measured
-    |S(value) - 1|.  `beta` and `tail_convergent` are evaluated at the root so
-    downstream bound formulas need no second pass over the alphabet.
+    `tolerance` bounds |value - true root|, 4 ulps or 1e-15 for a closed form;
+    `residual` is the measured |S(value) - 1|.  `beta` and `tail_convergent`
+    are evaluated at the root, so bound formulas need no second pass.
     """
 
     value: float
@@ -618,35 +616,14 @@ class CharRoot:
 
 
 def char_root(spec: CostSpec) -> CharRoot:
-    """Solve 1 = sum_i 2^(-c*c_i) for c > 0.
-
-    Built-in profile families use exact algebraic roots; finite lists and
-    custom profiles use doubling to bracket the decreasing characteristic sum
-    followed by bisection to `_ROOT_TOL`.  Those have at least 2 letters or an
-    infinite tail, so the sum exceeds 1 as c -> 0 and a root always exists;
-    the bracket closes within 10 doublings.
-    """
+    """Solve 1 = sum_i 2^(-c*c_i) for c > 0: the built-in profile families
+    have exact algebraic roots, and `solve_root` finds the others."""
     if not spec.is_normalized:
         raise CostSpecError("normalize the spec first (cheapest letter must cost 1)")
 
     closed = spec.family.closed_root() if spec.family is not None else None
-    if closed is not None:
-        value = closed
-        tolerance = 1e-15
-    else:
-        lo = 0.0
-        hi = 1.0
-        while spec.char_sum(hi) >= 1.0:
-            lo = hi
-            hi *= 2.0
-        while hi - lo > _ROOT_TOL:
-            mid = 0.5 * (lo + hi)
-            if spec.char_sum(mid) >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        value = 0.5 * (lo + hi)
-        tolerance = 0.5 * (hi - lo)
+    value = solve_root(spec) if closed is None else closed
+    tolerance = 4.0 * math.ulp(value) if closed is None else 1e-15
 
     return CharRoot(
         value=value,
@@ -655,6 +632,52 @@ def char_root(spec: CostSpec) -> CharRoot:
         beta=_beta_value(spec, value),
         tail_convergent=math.isfinite(spec.weighted_sum(value)),
     )
+
+
+def solve_root(spec: CostSpec) -> float:
+    """The root of S(c) = 1 for a finite list, normalized or not, or a custom
+    profile: Newton on the convex, decreasing phi(c) = log2 sum_{i>1} 2^(-c c_i)
+    - log2(1 - 2^(-c c_1)).  The cheapest term is an expm1, and the others are
+    summed scaled by 2^(c c_2), a level's letters as one term and a repeating
+    tail in closed form, so phi stays in range for any cost ratio or count
+    and subtracts no nearly equal sums.  Bisection in log2 c narrows a bracket
+    to a factor 2; Newton then climbs from below to a step under 1e-8 c."""
+    fam = spec.family
+    levels = ([(ci, 1) for ci in spec.costs] if fam is None else
+              [(float(j), d) for j, d in enumerate(fam.prefix, start=1) if d])
+    c1 = levels[0][0]
+    dearer = [(ci, d) for ci, d in [(c1, levels[0][1] - 1)] + levels[1:] if d]
+    # a repeating profile's levels from `start` on hold tail_d letters each
+    start, tail_d = (len(fam.prefix) + 1, fam.prefix[-1]) if fam and fam.repeats else (0, 0)
+    c2 = dearer[0][0] if dearer else start  # the second letter's cost
+    counts, gaps = [d for _, d in dearer], [ci - c2 for ci, _ in dearer]
+    ln2 = math.log(2.0)
+
+    def phi(c):  # phi(c) and phi'(c)
+        ws = [d * 2.0 ** (-c * g) for d, g in zip(counts, gaps)]
+        r, rg = sum(ws), math.fsum(map(operator.mul, ws, gaps))
+        if tail_d:  # the levels c_2 + m + k, k >= 0; q = 1 - 2^-c
+            q, m = -math.expm1(-c * ln2), start - c2
+            y = tail_d * 2.0 ** (-c * m) / q
+            r, rg = r + y, rg + y * (m + 2.0 ** -c / q)
+        head = -math.expm1(-c * c1 * ln2)  # 1 - 2^(-c c_1)
+        return (math.log2(r) - c * c2 - math.log2(head),
+                -c2 - rg / r - c1 * 2.0 ** (-c * c1) / head)
+
+    # Jensen on the two cheapest letters puts the root above 2 / (c_1 + c_2);
+    # at hi, S <= t 2^(-c c_1), or for a profile K z / (1 - z) with K its
+    # largest multiplicity, is at most 1.
+    lo = 2.0 / (c1 + c2)
+    hi = math.log2(len(spec.costs)) / c1 if fam is None else 1.0 + math.log2(max(fam.prefix))
+    while hi > 2.0 * lo:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        lo, hi = (mid, hi) if phi(mid)[0] > 0.0 else (lo, mid)
+    for _ in range(100):  # each step stays below the root: phi is convex
+        value, slope = phi(lo)
+        lo -= value / slope
+        if abs(value / slope) <= 1e-8 * lo:  # the next step would be below an ulp
+            break
+    return lo
 
 
 def _beta_value(spec: CostSpec, c: float) -> float:

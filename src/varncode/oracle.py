@@ -29,9 +29,10 @@ cost f have sum 2^(-c' l) <= 2^(-c' f), so by Gibbs' inequality a completion
 costs at least done.p + E, E = (H(q) + Q log2 Q - Q log2 K) / c'.  K is the
 frontier's sum of 2^(-c' f); q are the n - |done| smallest probabilities (the
 done words are the cheapest, so they take the largest), Q their sum and
-H(q) = -sum q log2 q.  c' is certified: S(c') <= 1 beyond the rounding of its
-evaluation.  Each frontier word carries its 2^(-c' f), a child's being its
-parent's times 2^(-c' c_i), in an ascending list whose largest the head takes.
+H(q) = -sum q log2 q.  c' steps up from `costs.solve_root`'s root until
+S(c') <= 1 holds beyond the rounding of its evaluation.  Each frontier word
+carries its 2^(-c' f), a child's being its parent's times 2^(-c' c_i), in an
+ascending list whose largest the head takes.
 Dividing by c' amplifies rounding, so the bound subtracts the margin
 8 n u ((H(q) + |Q log2 Q| + 2Q + |Q log2 K|) / c' + n c_t Q + done.p + |E|),
 u = 2^-53, which covers the rounding of the word costs, the carried powers,
@@ -63,7 +64,7 @@ import operator
 from dataclasses import dataclass
 
 from .coder import ProbInput
-from .costs import CostSpec
+from .costs import CostSpec, solve_root
 from .errors import CapTooSmallError, OracleTooLargeError
 
 MAX_N = 10
@@ -98,38 +99,12 @@ class OracleResult:
 
 
 def _kraft_exponent(costs: list[float]) -> float | None:
-    """c' at or above the characteristic root, S(c') <= 1 certified, or None.
-
-    phi(c) = log2 sum_{i>1} 2^(-c c_i) - log2(1 - 2^(-c c_1)) is convex and
-    decreasing with the same root, and stays in range for any cost ratio.  The
-    root lies in [log2 t / mean(c_i), log2 t / c_1] (Jensen); bisection in
-    log2 c narrows that to a factor 2, and Newton climbs to it from below.  c'
-    then steps up until S(c') - 1, its cheapest term as expm1, is below minus
-    a bound on its own rounding.
-    """
-    t, c1, c2 = len(costs), costs[0], costs[1]
-    dearer = costs[1:]
-    gaps = [ci - c2 for ci in dearer]
-    ln2 = math.log(2.0)
-
-    def phi(c):  # phi(c) and phi'(c)
-        ws = [2.0 ** (-c * g) for g in gaps]
-        r = sum(ws)
-        return (math.log2(r) - c * c2 - math.log2(-math.expm1(-c * c1 * ln2)),
-                -c2 - math.fsum(map(operator.mul, ws, gaps)) / r
-                - c1 / math.expm1(c * c1 * ln2))
-
+    """c' at or above the characteristic root, S(c') <= 1 certified, or None:
+    c' steps up from `solve_root`'s root until S(c') - 1, its cheapest term as
+    expm1, is below minus a bound on its own rounding."""
+    t, c1, dearer, ln2 = len(costs), costs[0], costs[1:], math.log(2.0)
     try:
-        lo, hi = math.log2(t) / math.fsum(ci / t for ci in costs), math.log2(t) / c1
-        while hi > 2.0 * lo:
-            mid = math.sqrt(lo) * math.sqrt(hi)
-            lo, hi = (mid, hi) if phi(mid)[0] > 0.0 else (lo, mid)
-        c = lo
-        for _ in range(100):
-            value, slope = phi(c)
-            c -= value / slope
-            if abs(value / slope) <= 1e-8 * c:  # the next step would be below an ulp
-                break
+        c = solve_root(CostSpec(costs=tuple(costs)))
         for k in range(6, 66):  # up by 64 ulps of c, then by doubling steps
             c *= 1.0 + 2.0 ** (k - 53)
             head = math.expm1(-c * c1 * ln2)

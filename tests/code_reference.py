@@ -1,8 +1,8 @@
-"""Reference readers of built codes, for the tests.
+"""Reference readers of built codes and roots, for the tests.
 
 Each takes the plainest route to what it reports: a parent walk per
 codeword, a sorted scan for prefixes, a merge heap for equal letter costs,
-the split itself in exact rationals.
+the split itself in exact rationals, the characteristic root at 60 digits.
 The program computes none of these itself; the tests hold its outputs
 against them.
 """
@@ -136,3 +136,40 @@ def huffman_equal_cost(pinput, t: int) -> float:
         total += merged
         heapq.heappush(heap, merged)
     return total
+
+
+def excess_60_digits(spec, mpmath):
+    """g(c) = S(c) - 1 at 60 digits.
+
+    `spec` is a finite list, whose cheapest term goes through expm1 so that g
+    resolves a root far below an ulp of 1, or a custom profile, whose
+    repeating tail is summed in closed form.
+    """
+    mpmath.mp.dps = 60
+    ln2 = mpmath.log(2)
+    if spec.costs is not None:
+        costs = spec.costs
+
+        def g(c):
+            return mpmath.expm1(-c * costs[0] * ln2) + mpmath.fsum(
+                mpmath.power(2, -c * ci) for ci in costs[1:])
+    else:
+        fam = spec.family
+
+        def g(c):
+            z = mpmath.power(2, -c)
+            s = mpmath.fsum(d * z ** j for j, d in enumerate(fam.prefix, start=1) if d) - 1
+            if fam.repeats:  # 1 - z as expm1, which stays nonzero as c -> 0
+                s += fam.prefix[-1] * z ** (len(fam.prefix) + 1) / -mpmath.expm1(-c * ln2)
+            return s
+    return g
+
+
+def root_60_digits(spec, mpmath):
+    """The root of S(c) = 1 bisected in log c at 60 digits, and g(c) = S(c) - 1."""
+    g = excess_60_digits(spec, mpmath)
+    lo, hi = mpmath.mpf(10) ** -320, mpmath.mpf(2048)
+    while hi / lo - 1 > mpmath.mpf(10) ** -50:
+        mid = mpmath.sqrt(lo * hi)
+        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+    return hi, g

@@ -20,6 +20,9 @@ from varncode import (
 )
 from varncode.costs import CostSpec, CustomProfileFamily, LetterTable
 
+from code_reference import root_60_digits
+from test_oracle import REFERENCE_SPECS
+
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 # Roots recomputed by direct bisection of sum_i 2^(-c*c_i) = 1, outside
@@ -266,17 +269,36 @@ def test_root_requires_normalized_spec():
 
 
 def test_root_brackets_the_largest_profile_coefficient():
-    """1e300 letters of cost 1: the bracket doubles 10 times to [512, 1024],
-    as many times as any profile coefficient below the float maximum needs."""
+    """1e300 letters of cost 1: the bracket's top, 1 + log2 1e300, comes from
+    the largest multiplicity, and the level is summed as one term, never
+    letter by letter."""
     root = char_root(parse_cost_spec("profile:1e300"))
     assert abs(root.value - math.log2(1e300)) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="char_root bisects to an "
-                   "absolute 1e-12; a relative tolerance is ROADMAP direction 3")
 def test_root_resolves_a_tiny_root():
-    # 2^-c + 2^(-c*1e300) = 1 at c about 9.9e-298; the bisection stops at 4.5e-13.
-    assert char_root(parse_cost_spec("finite:1,1e300")).value < 1e-290
+    # 2^-c + 2^(-c*1e300) = 1 at c about 9.87e-298, far below any absolute
+    # tolerance; 2.88953e-9 is the 60-digit root of finite:1,1e10.
+    assert abs(char_root(parse_cost_spec("finite:1,1e300")).value / 9.8716e-298 - 1) < 1e-5
+    assert abs(char_root(parse_cost_spec("finite:1,1e10")).value / 2.88953e-9 - 1) < 1e-5
+
+
+# Costs 1 and 1001: S(c) less its cheapest term would cancel to a few digits
+# at these roots, so the dearer terms are summed on their own.
+WIDE_GAPS = tuple(pytest.param(f"profile:1,{'0,' * 999}1{tail}", id=f"profile:1,0x999,1{tail}")
+                  for tail in ("", ";tail=repeat"))
+
+
+@pytest.mark.parametrize("spec_text", REFERENCE_SPECS + (
+    "finite:1,1e10", "finite:1,1e300", "profile:1e300", "profile:0,2,1;tail=repeat",
+    "rll:1,100") + WIDE_GAPS)
+def test_root_matches_the_60_digit_root(spec_text):
+    mpmath = pytest.importorskip("mpmath")
+    spec = parse_cost_spec(spec_text)
+    root = char_root(spec)
+    ref, _ = root_60_digits(spec, mpmath)
+    assert abs(mpmath.mpf(root.value) / ref - 1) < 1e-15
+    assert abs(mpmath.mpf(root.value) - ref) <= root.tolerance
 
 
 # ---------------------------------------------------------------------------

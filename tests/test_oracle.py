@@ -24,7 +24,7 @@ from varncode import (
     prepare,
 )
 
-from code_reference import huffman_equal_cost, verify_prefix_free
+from code_reference import huffman_equal_cost, root_60_digits, verify_prefix_free
 
 THIRDS_SIXTHS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
 
@@ -410,30 +410,14 @@ def _letter_costs(spec):
     return [spec.letter_cost(m) for m in range(1, int(spec.alphabet_size) + 1)]
 
 
-def _root_60_digits(costs, mpmath):
-    """The root of S(c) = 1, bisected in log c at 60 digits."""
-    mpmath.mp.dps = 60
-    ln2 = mpmath.log(2)
-
-    def g(c):  # S(c) - 1, with the cheapest term as expm1
-        return mpmath.expm1(-c * costs[0] * ln2) + mpmath.fsum(
-            mpmath.power(2, -c * ci) for ci in costs[1:])
-
-    lo, hi = mpmath.mpf(10) ** -320, mpmath.mpf(4) / costs[0]
-    while hi / lo - 1 > mpmath.mpf(10) ** -50:
-        mid = mpmath.sqrt(lo * hi)
-        lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
-    return hi, g
-
-
 @pytest.mark.parametrize("spec_text", REFERENCE_SPECS + ("finite:1,1e10", "finite:1,1,1e-12,3"))
 def test_kraft_exponent_is_a_certified_root(spec_text):
     # c' may sit above the root, never below it: S(c') <= 1 is what makes the
     # Kraft-entropy bound a lower bound.
     mpmath = pytest.importorskip("mpmath")
-    costs = _letter_costs(parse_cost_spec(spec_text))
-    cp = oracle._kraft_exponent(costs)
-    root, g = _root_60_digits(costs, mpmath)
+    spec = parse_cost_spec(spec_text)
+    cp = oracle._kraft_exponent(_letter_costs(spec))
+    root, g = root_60_digits(spec, mpmath)
     assert mpmath.mpf(cp) >= root
     assert g(mpmath.mpf(cp)) <= 0
     assert abs(mpmath.mpf(cp) / root - 1) < 1e-9

@@ -5,10 +5,11 @@ geometric tails whose bins collapse below an ulp included; the numpy and the
 scalar split paths build the same tree bit for bit; split_trace describes
 exactly the tree it was derived from; every bound row the report applies
 holds, and the cost and entropy decompositions add up; the exact oracle finds
-what its unpruned search finds; approx_bound stops at the first cost level
-whose weighted tail fits; the CLI maps any JSON array in a --probs file to a
-documented exit code; and any cost DSL string roots or exits as a parse
-error.
+what its unpruned search finds; the characteristic root is within 8 unit
+roundoffs of its 60-digit value for cost ratios up to 1e300; approx_bound
+stops at the first cost level whose weighted tail fits; the CLI maps any JSON
+array in a --probs file to a documented exit code; and any cost DSL string
+roots or exits as a parse error.
 Examples come from a fixed seed, so the suite is reproducible.
 """
 
@@ -28,6 +29,7 @@ from varncode import (
     build_code,
     char_root,
     coder,
+    finite_list,
     parse_cost_spec,
     prepare,
     report,
@@ -35,7 +37,7 @@ from varncode import (
 )
 from varncode.cli import main
 
-from code_reference import codeword_letters, kraft_sum, verify_prefix_free
+from code_reference import codeword_letters, excess_60_digits, kraft_sum, verify_prefix_free
 from test_oracle import assert_matches_reference
 
 FAMILIES = ("linear", "fib", "balanced", "telegraph", "repeat:1", "repeat:3",
@@ -315,6 +317,26 @@ def test_cost_dsl_roots_or_exits_parse(text):
         assert code == 2 and err.getvalue().startswith("error parse:"), err.getvalue()
     else:
         assert out.getvalue().startswith("spec: ")
+
+
+# The cheapest letter costs 1 and the others up to 1e300 times more, so the
+# root runs from about 1 down to about 1e-297.
+wide_cost_lists = st.lists(st.floats(0.0, 300.0), min_size=1, max_size=5).map(
+    lambda exponents: [1.0] + [10.0 ** x for x in exponents])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(costs=wide_cost_lists)
+@example(costs=[1.0, 1e300])
+@example(costs=[1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+def test_root_is_within_8_unit_roundoffs(costs):
+    """S(c) - 1 at 60 digits changes sign within [c(1 - 8u), c(1 + 8u)]."""
+    mpmath = pytest.importorskip("mpmath")
+    spec = finite_list(costs)
+    c = mpmath.mpf(char_root(spec).value)
+    g = excess_60_digits(spec, mpmath)
+    u = mpmath.mpf(2) ** -53
+    assert g(c * (1 - 8 * u)) >= 0 >= g(c * (1 + 8 * u))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="one symbol: "

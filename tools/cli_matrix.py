@@ -56,10 +56,11 @@ PARSE_ERRORS = (
     # A non-integer rll bound.
     ("root", "--costs", "rll:1.5,3.9"),
 )
-# Roots at both ends of the root bracket: the largest profile coefficient's,
-# and one far below the bisection's absolute tolerance; and a repeating
-# profile whose weighted sum nears the float maximum.
-EXTREME_ROOTS = ("profile:1e300", "finite:1,1e300", "profile:1e308,1e308;tail=repeat")
+# Roots near both ends of what a spec can reach: the largest profile coefficient's,
+# and two far below 1, at 2.9e-9 and 9.9e-298, that only a relative stop
+# resolves; and a repeating profile whose weighted sum nears the float maximum.
+EXTREME_ROOTS = ("profile:1e300", "finite:1,1e10", "finite:1,1e300",
+                 "profile:1e308,1e308;tail=repeat")
 # Geometric and dyadic tails whose deep bins are narrower than an ulp of
 # their left ends, or lie where an infinite alphabet's cumulative letter
 # weight stops growing: each such bin counts as empty.  n stays at most 400:
