@@ -2,7 +2,8 @@
 
 Each takes the plainest route to what it reports: a parent walk per
 codeword, a sorted scan for prefixes, a merge heap for equal letter costs,
-the split itself in exact rationals, the characteristic root at 60 digits.
+the split itself in exact rationals, the characteristic root at 60 digits,
+a stable sort with three-pass long-double sums for the prepared input.
 The program computes none of these itself; the tests hold its outputs
 against them.
 """
@@ -13,6 +14,9 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
+
+from varncode import ProbInputError
+from varncode.coder import _SUM_TOL, ProbInput
 
 
 def verify_prefix_free(words) -> bool:
@@ -51,6 +55,54 @@ def codeword_letters(tree, original_index) -> tuple[int, ...]:
 
 def codeword_cost(tree, original_index) -> float:
     return float(tree._word_cost[_leaf(tree, original_index)])
+
+
+def reference_prepare(probs, normalize: bool = False) -> ProbInput:
+    """`prepare` as one stable argsort, a list for each exact sum, and the
+    midpoints from a shifted copy of the long-double prefix sums."""
+    a = np.array(probs, dtype=np.float64, copy=True)
+    if a.ndim != 1 or a.size == 0:
+        raise ProbInputError("probabilities must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(a)):
+        raise ProbInputError("probabilities must be finite")
+    if np.any(a < 0.0):
+        raise ProbInputError("probabilities must be nonnegative")
+    try:
+        total = math.fsum(a.tolist())
+    except OverflowError:
+        if not normalize:
+            raise ProbInputError("probabilities sum beyond the float range") from None
+        a = a / a.max()
+        total = math.fsum(a.tolist())
+    if total <= 0.0:
+        raise ProbInputError("probabilities sum to zero")
+    if normalize:
+        a = a / total
+        total = math.fsum(a.tolist())
+    elif abs(total - 1.0) > _SUM_TOL:
+        raise ProbInputError(f"probabilities sum to {total!r}")
+    order = np.argsort(-a, kind="stable")
+    sorted_p = a[order]
+    ld = sorted_p.astype(np.longdouble)
+    csum = np.cumsum(ld)
+    prefix = np.empty(a.size + 1, dtype=np.float64)
+    prefix[0] = 0.0
+    prefix[1:] = csum.astype(np.float64)
+    shifted = np.empty_like(csum)
+    shifted[0] = 0.0
+    shifted[1:] = csum[:-1]
+    mid = (shifted + 0.5 * ld).astype(np.float64)
+    return ProbInput(probs=sorted_p, prefix=prefix, mid=mid,
+                     perm=order.astype(np.int64), total=total)
+
+
+def assert_same_prepared(got: ProbInput, want: ProbInput) -> None:
+    """Every array field equal in dtype and bytes, and total equal in bits."""
+    for field in ("perm", "probs", "prefix", "mid"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype and x.shape == y.shape, field
+        assert x.tobytes() == y.tobytes(), field
+    assert got.total.hex() == want.total.hex()
 
 
 def tree_dict(tree) -> dict:

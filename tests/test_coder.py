@@ -26,10 +26,12 @@ from varncode import (
 from varncode.cli import make_probs, parse_gen
 
 from code_reference import (
+    assert_same_prepared,
     codeword_cost,
     codeword_letters,
     exact_split_costs,
     kraft_sum,
+    reference_prepare,
     tree_dict,
     verify_prefix_free,
 )
@@ -81,6 +83,33 @@ def test_prepare_validation():
         prepare([0.0, 0.0])
     with pytest.raises(ProbInputError):
         prepare([0.3, 0.3])  # sums to 0.6
+
+
+@pytest.mark.parametrize("probs", [[10 ** 400], ["a"], [1 + 0j, 0], object()],
+                         ids=["huge-int", "string", "complex", "object"])
+def test_prepare_maps_conversion_errors(probs):
+    with pytest.raises(ProbInputError):
+        prepare(probs)
+
+
+def _hist_like(n, seed):
+    """Counts of 3n zipf(1.3) draws: about 85% of the symbols get none."""
+    w = np.arange(1, n + 1, dtype=np.float64) ** -1.3
+    x = np.random.default_rng(seed).multinomial(3 * n, w / w.sum()).astype(np.float64)
+    return x / x.sum()
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("make", [
+    lambda: make_probs("uniform", 10 ** 5, 7),
+    lambda: _hist_like(10 ** 5, 7),
+    lambda: make_probs("geom:0.9", 10 ** 5, 0),  # zeros from where 0.9^k underflows
+    lambda: make_probs("zipf:1.0", 10 ** 5, 0),  # already in descending order
+], ids=["uniform", "hist", "geom-zero-tail", "zipf-sorted"])
+def test_prepare_matches_the_reference_at_large_n(make, normalize):
+    p = make()
+    assert_same_prepared(prepare(p, normalize=normalize),
+                         reference_prepare(p, normalize=normalize))
 
 
 def test_prepare_normalize():

@@ -6,7 +6,9 @@ scalar split paths build the same tree bit for bit; split_trace describes
 exactly the tree it was derived from; every bound row the report applies
 holds, and the cost and entropy decompositions add up; the exact oracle finds
 what its unpruned search finds; the characteristic root is within 8 unit
-roundoffs of its 60-digit value for cost ratios up to 1e300; approx_bound
+roundoffs of its 60-digit value for cost ratios up to 1e300; prepare gives
+the bytes of its stable-sort reference, ties and signed zeros included;
+approx_bound
 stops at the first cost level whose weighted tail fits; the CLI maps any JSON
 array in a --probs file to a documented exit code; and any cost DSL string
 roots or exits as a parse error.
@@ -18,6 +20,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,7 +40,14 @@ from varncode import (
 )
 from varncode.cli import main
 
-from code_reference import codeword_letters, excess_60_digits, kraft_sum, verify_prefix_free
+from code_reference import (
+    assert_same_prepared,
+    codeword_letters,
+    excess_60_digits,
+    kraft_sum,
+    reference_prepare,
+    verify_prefix_free,
+)
 from test_oracle import assert_matches_reference
 
 FAMILIES = ("linear", "fib", "balanced", "telegraph", "repeat:1", "repeat:3",
@@ -366,3 +376,28 @@ def test_cli_maps_any_json_probs_to_a_documented_exit(tmp_path_factory, values,
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3, 4, 5)
+
+
+# Few values, so most vectors hold ties and prepare takes its stable sort; the
+# distinct lists take its default sort alone.
+prepare_pool = st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, 0.25, 0.1, 1.0, 3.0))
+prepare_vectors = st.one_of(
+    st.lists(st.one_of(prepare_pool, st.floats(0.0, 1.0)), min_size=1, max_size=300),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300, unique=True),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(values=prepare_vectors, normalize=st.booleans())
+@example(values=[0.0, -0.0, 0.5, -0.0, 0.5, 0.0], normalize=False)
+def test_prepare_is_bit_identical_to_its_reference(values, normalize):
+    total = math.fsum(values)
+    if not normalize and total > 0.0:
+        values = [v / total for v in values]
+    try:
+        want = reference_prepare(values, normalize=normalize)
+    except VarncodeError:
+        with pytest.raises(VarncodeError):
+            prepare(values, normalize=normalize)
+        return
+    assert_same_prepared(prepare(values, normalize=normalize), want)
