@@ -374,10 +374,12 @@ class _Walk:
     scalar levels below them append to `array` buffers.
     """
 
-    def __init__(self, pinput: ProbInput, table: LetterTable, finite_t: int):
+    def __init__(self, pinput: ProbInput, table: LetterTable):
         self.pin = pinput
         self.table = table
-        self.t = finite_t
+        # No block reaches letter t > n, so such an alphabet splits like an
+        # infinite one, and t stays in numpy's int64 range.
+        self.t = table.t if table.t <= pinput.n else 0
         # The scalar path reads Python floats: from lists when it builds the
         # whole tree (they index fastest, about 1 us of an n <= 10 build),
         # else from memoryviews, with no O(n) copy for the few slots below
@@ -598,7 +600,7 @@ def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot) -> CodeTree:
     n = pinput.n
     table = LetterTable(spec, root.value)
     table.ensure(1)  # a one-symbol input's only letter; every split's first bin
-    walk = _Walk(pinput, table, int(spec.alphabet_size) if spec.is_finite_alphabet else 0)
+    walk = _Walk(pinput, table)
     level = [(0, n - 1, 0, 0.0)]
     if n >= _VECTOR_SLOTS:
         level = walk.vector_levels(level)
@@ -619,7 +621,6 @@ def split_trace(tree: CodeTree) -> list[dict]:
     pin = tree.input
     P, s = pin.prefix.tolist(), pin.mid.tolist()
     table = tree._table
-    finite_t = int(tree.spec.alphabet_size) if tree.spec.is_finite_alphabet else 0
 
     records = []
     for v, (l, r) in enumerate(zip(tree._first.tolist(), tree._last.tolist())):
@@ -628,7 +629,7 @@ def split_trace(tree: CodeTree) -> list[dict]:
         L = P[l]
         w = P[r + 1] - L
         ranges, stole, rshift = _split(l, r, L, w, s, table.cum, table.ensure,
-                                       finite_t)
+                                       table.t)
         bins = []
         for a, b, m in ranges:
             lo = L + w * table.cum[m - 1]

@@ -57,8 +57,9 @@ class ProfileFamily:
     multiplicities, the characteristic sum S(z) = sum_j d_j z^j and the
     weighted sum z*S'(z) = sum_j j*d_j*z^j with its tails past each level as
     functions of z = 2^(-c) (each math.inf where its series diverges), an
-    exact root when one is known, the largest multiplicity K (or infinity),
-    and where the profile starts repeating, if it does.
+    exact root when one is known, the exact letter count, the largest
+    multiplicity K (or infinity), and where the profile starts repeating, if
+    it does.  `CostSpec.levels()` walks the levels that have letters.
     """
 
     def multiplicity(self, j: int) -> int:
@@ -67,10 +68,6 @@ class ProfileFamily:
     def repeat_tail(self) -> tuple[int, int] | None:
         """(J, d) when every level past J holds d > 0 letters, else None."""
         return None
-
-    def levels(self) -> _Levels:
-        """Iterator of (j, d_j) for every level j that has letters, in order."""
-        return _Levels(self)
 
     def char_sum_z(self, z: float) -> float:
         """sum_j d_j z^j, or math.inf where the series diverges."""
@@ -83,73 +80,13 @@ class ProfileFamily:
     def closed_root(self) -> float | None:
         return None
 
-    def total_letters(self) -> float:
-        """Number of letters (math.inf for infinite alphabets)."""
+    def total_letters(self) -> int | float:
+        """Number of letters as an exact int; math.inf for infinite alphabets."""
         return math.inf
 
     def max_multiplicity(self) -> float:
         """K = max_j d_j, or math.inf when the profile is unbounded."""
         raise NotImplementedError
-
-
-class _Levels:
-    """Walk over the levels of a profile that have letters.
-
-    Stops where the alphabet ends; an infinite alphabet raises CostSpecError
-    past `_MAX_LEVEL` instead of walking on.  An iterator class rather than a
-    generator, so a LetterTable holding a walk in progress still pickles.
-    """
-
-    def __init__(self, family: ProfileFamily):
-        self.family = family
-        self.total = family.total_letters()
-        self.j = self.seen = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> tuple[int, int]:
-        while self.seen < self.total:
-            self.j += 1
-            if self.j > _MAX_LEVEL:
-                raise CostSpecError("letter index beyond alphabet")
-            d = self.family.multiplicity(self.j)
-            if d:
-                self.seen += d
-                return self.j, d
-        raise StopIteration
-
-
-class RepeatFamily(ProfileFamily):
-    """d copies of every integer cost: d_j = d (d = 1 is `linear`)."""
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise CostSpecError("repeat multiplicity must be >= 1")
-        self.d = int(d)
-
-    def multiplicity(self, j):
-        return self.d
-
-    def repeat_tail(self):
-        return 0, self.d
-
-    def char_sum_z(self, z):
-        if z >= 1.0:
-            return math.inf
-        return self.d * z / (1.0 - z)
-
-    def weighted_sum_z(self, z, above=0):
-        if z >= 1.0:
-            return math.inf
-        return self.d * _geom_weighted_tail(z, above)
-
-    def closed_root(self):
-        # d*z/(1-z) = 1 at z = 1/(d+1).
-        return math.log2(self.d + 1)
-
-    def max_multiplicity(self):
-        return float(self.d)
 
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -230,47 +167,39 @@ class BalancedWordsFamily(ProfileFamily):
 
 
 class CustomProfileFamily(ProfileFamily):
-    """Explicit multiplicity prefix with a zero or repeating tail.
+    """Explicit multiplicities d_1..d_J, then tail_d letters at every level past J.
 
-    `prefix` lists d_1..d_J.  With tail "zero" the alphabet ends at level J;
-    with tail "repeat" every level past J repeats d_J, and `repeats` says
-    whether that makes the alphabet infinite (d_J > 0).
+    tail_d = 0 ends the alphabet at level J.  `linear` and `repeat:d` are the
+    empty prefix with tail_d = d, the only case with a closed root,
+    log2(d + 1); `profile:...;tail=repeat` is its prefix with tail_d = d_J.
     """
 
-    def __init__(self, prefix, tail="zero"):
-        prefix = tuple(int(d) for d in prefix)
-        if not prefix or any(d < 0 for d in prefix):
-            raise CostSpecError("profile prefix must be nonempty with d_j >= 0")
-        if tail not in ("zero", "repeat"):
-            raise CostSpecError(f"unknown profile tail rule {tail!r}")
-        self.prefix = prefix
-        self.tail = tail
-        # A repeat tail of d_J = 0 ends the alphabet at level J, like a zero tail.
-        self.repeats = tail == "repeat" and prefix[-1] > 0
-        total = math.inf if self.repeats else sum(prefix)
+    def __init__(self, prefix, tail_d=0):
+        self.prefix = tuple(int(d) for d in prefix)
+        self.tail_d = int(tail_d)
+        total = math.inf if self.tail_d else sum(self.prefix)
         if total < 2:
             raise CostSpecError("profile must supply at least 2 letters")
         try:
-            self._total = float(total)
+            float(total)
         except OverflowError:
             raise CostSpecError("profile letter count exceeds the float range") from None
+        self._total = total
 
     def multiplicity(self, j):
-        if j <= len(self.prefix):
-            return self.prefix[j - 1]
-        return self.prefix[-1] if self.tail == "repeat" else 0
+        return self.prefix[j - 1] if j <= len(self.prefix) else self.tail_d
 
     def repeat_tail(self):
-        return (len(self.prefix), self.prefix[-1]) if self.repeats else None
+        return (len(self.prefix), self.tail_d) if self.tail_d else None
 
     def char_sum_z(self, z):
         base = math.fsum(d * z ** j for j, d in enumerate(self.prefix, start=1))
-        if not self.repeats:
+        if not self.tail_d:
             return base
         if z >= 1.0:
             return math.inf
         J = len(self.prefix)
-        return base + self.prefix[-1] * z ** (J + 1) / (1.0 - z)
+        return base + self.tail_d * z ** (J + 1) / (1.0 - z)
 
     def weighted_sum_z(self, z, above=0):
         J = len(self.prefix)
@@ -278,17 +207,21 @@ class CustomProfileFamily(ProfileFamily):
             # The float first: d_j * j can pass the float range as an int.
             self.prefix[j - 1] * z ** j * j for j in range(above + 1, J + 1)
         )
-        if not self.repeats:
+        if not self.tail_d:
             return head
         if z >= 1.0:
             return math.inf
-        return head + self.prefix[-1] * _geom_weighted_tail(z, max(above, J))
+        return head + self.tail_d * _geom_weighted_tail(z, max(above, J))
+
+    def closed_root(self):
+        # d*z/(1-z) = 1 at z = 1/(d+1).
+        return None if self.prefix else math.log2(self.tail_d + 1)
 
     def total_letters(self):
         return self._total
 
     def max_multiplicity(self):
-        return float(max(self.prefix))
+        return float(max(self.prefix + (self.tail_d,)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +262,7 @@ class CostSpec:
         """Number of letters t; math.inf for infinite alphabets."""
         if self.costs is not None:
             return len(self.costs)
-        return self.family.total_letters()
+        return float(self.family.total_letters())
 
     @property
     def is_finite_alphabet(self) -> bool:
@@ -344,10 +277,10 @@ class CostSpec:
                 raise CostSpecError("letter index beyond alphabet")
             return self.costs[m - 1]
         seen = 0
-        for j, d in self.family.levels():
+        for cost, d in self.levels():
             seen += d
             if seen >= m:
-                return float(j)
+                return cost
         raise CostSpecError("letter index beyond alphabet")
 
     @property
@@ -355,9 +288,7 @@ class CostSpec:
         """c_t for finite alphabets; math.inf otherwise."""
         if self.costs is not None:
             return self.costs[-1]
-        if not self.is_finite_alphabet:
-            return math.inf
-        return float(max(j for j, _ in self.family.levels()))
+        return max(cost for cost, _ in self.levels()) if self.is_finite_alphabet else math.inf
 
     @cached_property
     def second_cost_gap(self) -> float:
@@ -365,9 +296,9 @@ class CostSpec:
         if self.costs is not None:
             return self.costs[1] - self.costs[0]
         # Every alphabet has two letters: c_2 is c_1 again, or the next level.
-        levels = self.family.levels()
-        j, d = next(levels)
-        return 0.0 if d > 1 else float(next(levels)[0] - j)
+        levels = self.levels()
+        c1, d = next(levels)
+        return 0.0 if d > 1 else next(levels)[0] - c1
 
     @property
     def integer_costs(self) -> bool:
@@ -397,12 +328,22 @@ class CostSpec:
     def levels(self):
         """(cost, count) for each cost level with letters, cheapest first.
 
-        Profile levels are the integer costs j with d_j > 0.  A finite list
-        groups each cost with the costs at most 1e-12 above it.
+        Profile levels are the integer costs j with d_j > 0, read from
+        multiplicity(j) until the exact letter count is reached; an infinite
+        alphabet raises CostSpecError past `_MAX_LEVEL` instead of walking on.
+        A finite list groups each cost with the costs at most 1e-12 above it.
         """
         if self.costs is None:
-            for j, d in self.family.levels():
-                yield float(j), d
+            fam, total = self.family, self.family.total_letters()
+            j = seen = 0
+            while seen < total:
+                j += 1
+                if j > _MAX_LEVEL:
+                    raise CostSpecError("letter index beyond alphabet")
+                d = fam.multiplicity(j)
+                if d:
+                    seen += d
+                    yield float(j), d
             return
         costs = self.costs
         i = 0
@@ -468,11 +409,13 @@ def finite_list(costs, label="") -> CostSpec:
 
 
 def linear() -> CostSpec:
-    return CostSpec(family=RepeatFamily(1), label="linear")
+    return CostSpec(family=CustomProfileFamily((), 1), label="linear")
 
 
 def repeat(d: int) -> CostSpec:
-    return CostSpec(family=RepeatFamily(d), label=f"repeat:{int(d)}")
+    if d < 1:
+        raise CostSpecError("repeat multiplicity must be >= 1")
+    return CostSpec(family=CustomProfileFamily((), d), label=f"repeat:{int(d)}")
 
 
 def fibonacci() -> CostSpec:
@@ -488,7 +431,13 @@ def telegraph() -> CostSpec:
 
 
 def custom_profile(prefix, tail="zero", label="") -> CostSpec:
-    fam = CustomProfileFamily(prefix, tail=tail)
+    """d_1..d_J, then nothing (tail "zero") or d_J at every level (tail "repeat")."""
+    prefix = tuple(int(d) for d in prefix)
+    if not prefix or min(prefix) < 0:
+        raise CostSpecError("profile prefix must be nonempty with d_j >= 0")
+    if tail not in ("zero", "repeat"):
+        raise CostSpecError(f"unknown profile tail rule {tail!r}")
+    fam = CustomProfileFamily(prefix, prefix[-1] if tail == "repeat" else 0)
     if not label:
         label = "profile:" + ",".join(str(d) for d in fam.prefix)
     return CostSpec(family=fam, label=label)
@@ -648,7 +597,7 @@ def solve_root(spec: CostSpec) -> float:
     c1 = levels[0][0]
     dearer = [(ci, d) for ci, d in [(c1, levels[0][1] - 1)] + levels[1:] if d]
     # a repeating profile's levels from `start` on hold tail_d letters each
-    start, tail_d = (len(fam.prefix) + 1, fam.prefix[-1]) if fam and fam.repeats else (0, 0)
+    start, tail_d = (len(fam.prefix) + 1, fam.tail_d) if fam else (0, 0)
     c2 = dearer[0][0] if dearer else start  # the second letter's cost
     counts, gaps = [d for _, d in dearer], [ci - c2 for ci, _ in dearer]
     ln2 = math.log(2.0)
@@ -726,63 +675,62 @@ class LetterTable:
 
     costs[m] is c_m (1-based; costs[0] unused) and cum[m] is
     sum_{i<=m} 2^(-c*c_i), the right boundary of bin m as a fraction of the
-    parent interval.  Profile tables grow lazily as the builder asks for
-    deeper bins, a level's letters at a time.  Each cum entry adds one
-    letter's weight to the one before it, so the table's bits do not depend
-    on how it was grown.
+    parent interval; `t` is the exact letter count, 0 for an infinite
+    alphabet.  A profile's table grows as the builder asks for deeper bins, a
+    level at a time: multiplicity(j) up to a repeating tail (or until all t
+    letters are in), then tail_d letters per level.  It holds only ints and
+    the family, so it pickles mid-walk.  Each cum entry adds one letter's
+    weight to the one before it, so its bits do not depend on how it grew.
     """
 
     def __init__(self, spec: CostSpec, c: float):
         self.c = c
         self.costs = [0.0]
         self.cum = [0.0]
-        self._level = 0
-        self._left = 0  # letters of the current level not yet in the table
+        self._family = fam = spec.family
+        self._level = self._left = 0  # a level, and its letters not yet added
         # Set once adding a letter's weight leaves cum[-1] unchanged: weights
         # only fall with the level and a sum rounds monotonically, so every
         # later entry equals cum[-1] too.  Only a repeating profile checks:
         # its tail is the one the table can then add in closed form.
         self._flat = False
         self._arrays = None
-        # The walk over the levels ahead; a repeating profile's walk holds
-        # only its prefix, and every level past it holds _tail_d letters.
-        self._tail_d = 0
-        fam = spec.family
         if fam is None:
-            # A finite list is materialized here, so its walk is empty.
-            self._levels = iter(())
+            self.t = len(spec.costs)
+            self._prefix, self._tail_d = 0, 0
             acc = 0.0
             for ci in spec.costs:
                 acc += 2.0 ** (-c * ci)
                 self.costs.append(ci)
                 self.cum.append(acc)
-        elif (tail := fam.repeat_tail()) is None:
-            self._levels = fam.levels()
         else:
-            prefix, self._tail_d = tail
-            self._levels = iter([(j, d) for j in range(1, prefix + 1)
-                                 if (d := fam.multiplicity(j))])
+            total = fam.total_letters()
+            self.t = 0 if total == math.inf else total
+            # Levels up to _prefix come from multiplicity(j); every level
+            # past it holds _tail_d letters, and none when that is 0.
+            self._prefix, self._tail_d = fam.repeat_tail() or (_MAX_LEVEL, 0)
 
     def ensure(self, m: int) -> None:
         """Extend the table so letter m is materialized."""
-        costs = self.costs
-        cum = self.cum
+        costs, cum = self.costs, self.cum
         while len(costs) <= m:
             if self._left == 0:
-                level = next(self._levels, None)
-                if level is not None:
-                    self._level, self._left = level
-                elif not self._tail_d:
+                if 0 < self.t < len(costs):
                     raise CostSpecError("letter index beyond alphabet")
-                elif self._flat and m + 1 - len(costs) > self._tail_d:
+                if self._level < self._prefix:
+                    self._level += 1
+                    self._left = self._family.multiplicity(self._level)
+                    continue
+                if not self._tail_d:
+                    raise CostSpecError("letter index beyond alphabet")
+                if self._flat and m + 1 - len(costs) > self._tail_d:
                     # Letter m lies past the next level.
                     self._extend_flat_tail(m)
                     return
-                else:
-                    self._level += 1
-                    self._left = self._tail_d
-                    if self._level > _MAX_LEVEL:
-                        raise CostSpecError("letter index beyond alphabet")
+                self._level += 1
+                self._left = self._tail_d
+                if self._level > _MAX_LEVEL:
+                    raise CostSpecError("letter index beyond alphabet")
             cost = float(self._level)
             w = 2.0 ** (-self.c * cost)
             batch = min(self._left, m + 1 - len(costs))

@@ -3,7 +3,9 @@
 Each takes the plainest route to what it reports: a parent walk per
 codeword, a sorted scan for prefixes, a merge heap for equal letter costs,
 the split itself in exact rationals, the characteristic root at 60 digits,
-a stable sort with three-pass long-double sums for the prepared input.
+a stable sort with three-pass long-double sums for the prepared input, and
+the repeat family that `linear` and `repeat:d` were built on before they
+became custom profiles with an empty prefix.
 The program computes none of these itself; the tests hold its outputs
 against them.
 """
@@ -15,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from varncode import ProbInputError
+from varncode import CostSpecError, ProbInputError
 from varncode.coder import _SUM_TOL, ProbInput
+from varncode.costs import CostSpec, ProfileFamily
 
 
 def verify_prefix_free(words) -> bool:
@@ -190,6 +193,57 @@ def huffman_equal_cost(pinput, t: int) -> float:
     return total
 
 
+class RepeatFamily(ProfileFamily):
+    """d copies of every integer cost: d_j = d (d = 1 is `linear`).
+
+    The class the package once used for `linear` and `repeat:d`, kept as the
+    reference that the empty-prefix custom profile must match bit for bit.
+    """
+
+    def __init__(self, d: int):
+        if d < 1:
+            raise CostSpecError("repeat multiplicity must be >= 1")
+        self.d = int(d)
+
+    def multiplicity(self, j):
+        return self.d
+
+    def repeat_tail(self):
+        return 0, self.d
+
+    def char_sum_z(self, z):
+        if z >= 1.0:
+            return math.inf
+        return self.d * z / (1.0 - z)
+
+    def weighted_sum_z(self, z, above=0):
+        if z >= 1.0:
+            return math.inf
+        m = above  # sum_{j > m} j z^j in closed form
+        return self.d * (z ** (m + 1) * ((m + 1) - m * z) / (1.0 - z) ** 2)
+
+    def closed_root(self):
+        # d*z/(1-z) = 1 at z = 1/(d+1).
+        return math.log2(self.d + 1)
+
+    def max_multiplicity(self):
+        return float(self.d)
+
+
+def reference_repeat(d: int, label: str) -> CostSpec:
+    return CostSpec(family=RepeatFamily(d), label=label)
+
+
+def repeat_table(d: int, c: float, letters: int) -> tuple[np.ndarray, np.ndarray]:
+    """(costs, cum) of `repeat:d` through `letters` from the definition:
+    letter m costs ceil(m / d) and cum[m] = cum[m-1] + 2^(-c*c_m)."""
+    costs, cum = [0.0], [0.0]
+    for m in range(1, letters + 1):
+        costs.append(float(-(-m // d)))
+        cum.append(cum[-1] + 2.0 ** (-c * costs[-1]))
+    return np.array(costs), np.array(cum)
+
+
 def excess_60_digits(spec, mpmath):
     """g(c) = S(c) - 1 at 60 digits.
 
@@ -211,8 +265,8 @@ def excess_60_digits(spec, mpmath):
         def g(c):
             z = mpmath.power(2, -c)
             s = mpmath.fsum(d * z ** j for j, d in enumerate(fam.prefix, start=1) if d) - 1
-            if fam.repeats:  # 1 - z as expm1, which stays nonzero as c -> 0
-                s += fam.prefix[-1] * z ** (len(fam.prefix) + 1) / -mpmath.expm1(-c * ln2)
+            if fam.tail_d:  # 1 - z as expm1, which stays nonzero as c -> 0
+                s += fam.tail_d * z ** (len(fam.prefix) + 1) / -mpmath.expm1(-c * ln2)
             return s
     return g
 

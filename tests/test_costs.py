@@ -9,12 +9,15 @@ import pytest
 from varncode import (
     CostSpecError,
     balanced_words,
+    build_code,
     char_root,
     custom_profile,
     fibonacci,
     finite_list,
     linear,
     parse_cost_spec,
+    prepare,
+    reference_bound,
     repeat,
     telegraph,
 )
@@ -411,8 +414,27 @@ def test_profile_letter_count_past_the_float_range_is_a_spec_error():
     assert parse_cost_spec("profile:1e308,1e307").alphabet_size == 1.1e308
 
 
+def test_profile_letter_count_is_exact_past_float_precision():
+    # 10**18 + 1 letters round to 1e18 as a float; a walk that stopped at the
+    # rounded count lost level 2, and c_t with it.
+    spec = parse_cost_spec("profile:1e18,1")
+    t = 10 ** 18 + 1
+    assert list(spec.levels()) == [(1.0, 10 ** 18), (2.0, 1)]
+    assert spec.max_cost == 2.0
+    assert spec.letter_cost(t) == 2.0
+    with pytest.raises(CostSpecError):
+        spec.letter_cost(t + 1)
+    root = char_root(spec)
+    assert LetterTable(spec, root.value).t == t
+    probs = [1 / 3] * 3
+    assert reference_bound(spec, root, probs[0], probs[-1]) == (
+        (1.0 - probs[0] - probs[-1]) + root.value * 2.0)
+    tree = build_code(prepare(probs), spec, root)
+    assert tree.cost() == 1.0
+
+
 def test_custom_profile_char_sum_matches_truncation():
-    fam = CustomProfileFamily([2, 0, 1], tail="repeat")
+    fam = CustomProfileFamily([2, 0, 1], tail_d=1)
     z = 0.4
     direct = sum(fam.multiplicity(j) * z ** j for j in range(1, 400))
     assert abs(fam.char_sum_z(z) - direct) < 1e-12
@@ -497,14 +519,15 @@ def test_parse_finite_and_shorthands():
 def test_parse_profile_families():
     lin = parse_cost_spec("linear")
     assert (lin.label, lin.d_profile(4)) == ("linear", (1, 1, 1, 1))
-    assert parse_cost_spec("repeat:3").family.d == 3
+    rep = parse_cost_spec("repeat:3").family
+    assert (rep.prefix, rep.tail_d) == ((), 3)
     fib = parse_cost_spec("fib")
     assert (fib.label, fib.d_profile(6)) == ("fib", (1, 1, 2, 3, 5, 8))
     bal = parse_cost_spec("balanced")
     assert (bal.label, bal.d_profile(8)) == ("balanced", (0, 2, 0, 2, 0, 4, 0, 10))
     prof = parse_cost_spec("profile:1,0,2;tail=repeat")
     assert prof.family.prefix == (1, 0, 2)
-    assert prof.family.tail == "repeat"
+    assert prof.family.tail_d == 2
 
 
 def test_parse_errors():

@@ -9,13 +9,17 @@ what its unpruned search finds; the characteristic root is within 8 unit
 roundoffs of its 60-digit value for cost ratios up to 1e300; approx_bound
 stops at the first cost level whose weighted tail fits; the CLI maps any JSON
 array in a --probs file to a documented exit code; any cost DSL string roots
-or exits as a parse error; and prepare gives the bytes of its stable-sort
-reference, ties and signed zeros included.
+or exits as a parse error; prepare gives the bytes of its stable-sort
+reference, ties and signed zeros included; and `linear` and `repeat:d`, as
+custom profiles with an empty prefix, give the bits of the repeat family
+they replaced.
 Examples come from a fixed seed, so the suite is reproducible.
 """
 
 import contextlib
+import dataclasses
 import io
+import itertools
 import json
 import math
 
@@ -31,12 +35,14 @@ from varncode import (
     char_root,
     coder,
     finite_list,
+    linear,
     parse_cost_spec,
     prepare,
     report,
     split_trace,
 )
 from varncode.cli import main
+from varncode.costs import LetterTable
 
 from code_reference import (
     assert_same_prepared,
@@ -44,6 +50,8 @@ from code_reference import (
     excess_60_digits,
     kraft_sum,
     reference_prepare,
+    reference_repeat,
+    repeat_table,
     verify_prefix_free,
 )
 from test_oracle import assert_matches_reference
@@ -186,6 +194,9 @@ def _node_arrays(tree):
 @example(spec_text="profile:1,0,3", weights=[0.3, 0.3, 0.2, 0.1, 0.1])
 # A zero-width block over positive subnormals: its leaves weigh probs[a].
 @example(spec_text="finite:1,1", weights=[1.0, 5e-324, 5e-324, 5e-324])
+# More letters than numpy's int64 holds (t = 10**19 + 1), on both kinds of block.
+@example(spec_text="profile:1e19,1", weights=[1.0] * 100)
+@example(spec_text="profile:1e19,1", weights=[1.0] + [0.0] * 99)
 def test_numpy_and_scalar_split_paths_build_the_same_tree(spec_text, weights):
     vector = _node_arrays(_build_on_one_path(2, spec_text, weights))
     scalar = _node_arrays(_build_on_one_path(10 ** 9, spec_text, weights))
@@ -401,3 +412,41 @@ def test_prepare_is_bit_identical_to_its_reference(values, normalize):
             prepare(values, normalize=normalize)
         return
     assert_same_prepared(prepare(values, normalize=normalize), want)
+
+
+def _bits(values):
+    return [x.hex() if isinstance(x, float) else x for x in values]
+
+
+def _assert_same_as_the_repeat_family(spec, d):
+    ref = reference_repeat(d, spec.label)
+    root = char_root(spec)
+    assert _bits(dataclasses.astuple(root)) == _bits(dataclasses.astuple(char_root(ref)))
+    c = root.value
+    assert (_bits(spec.weighted_sum(c, float(a)) for a in range(61))
+            == _bits(ref.weighted_sum(c, float(a)) for a in range(61)))
+    for epsilon in (0.5, 0.25, 0.05, 0.01):
+        assert (_bits(dataclasses.astuple(approx_bound(spec, root, epsilon)))
+                == _bits(dataclasses.astuple(approx_bound(ref, root, epsilon))))
+    assert list(itertools.islice(spec.levels(), 60)) == [(float(j), d) for j in range(1, 61)]
+    for m in (1, 2, d, d + 1, 2 * d + 1, 5000):
+        assert spec.letter_cost(m) == float(-(-m // d))
+    assert spec.d_profile(60) == ref.d_profile(60) == (d,) * 60
+    assert spec.max_multiplicity() == ref.max_multiplicity() == float(d)
+    costs, cum = LetterTable(spec, c).arrays(5000)
+    ref_costs, ref_cum = repeat_table(d, c, 5000)
+    assert costs.tobytes() == ref_costs.tobytes()
+    assert cum.tobytes() == ref_cum.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=st.integers(1, 10 ** 6))
+@example(d=1)
+@example(d=2)
+@example(d=10 ** 6)
+def test_repeat_is_bit_identical_to_the_repeat_family(d):
+    _assert_same_as_the_repeat_family(parse_cost_spec(f"repeat:{d}"), d)
+
+
+def test_linear_is_bit_identical_to_the_repeat_family():
+    _assert_same_as_the_repeat_family(linear(), 1)

@@ -23,6 +23,9 @@ SPECS = (
     "repeat:1", "repeat:3", "fib", "balanced", "profile:1,1",
     "profile:0,2,1", "profile:2,1,1;tail=zero", "profile:1,0,2;tail=repeat",
     "profile:0,1;tail=repeat", "profile:1,1,0;tail=repeat",
+    # One alphabet two ways, at a root that is not dyadic (z = 1/3): in
+    # closed form, and by Newton.
+    "repeat:2", "profile:2;tail=repeat",
 )
 INPUTS = (
     ("--inline", "1.0"), ("--inline", "0.5,0.5"), ("--inline", "0.7,0.3,0,0,0"),
