@@ -96,7 +96,10 @@ def read_probs_file(path: str) -> list[float]:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("["):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ProbInputError("JSON probability file nests too deeply") from exc
         if not isinstance(data, list):
             raise ProbInputError("JSON probability file must hold an array")
         try:

@@ -270,39 +270,37 @@ class CodeTree:
     def to_json(self) -> str:
         """The tree as nested {letter_index, children | leaf_index} objects,
         leaf_index the original symbol index, in compact JSON with sorted
-        keys.  It is written from a stack: json.dumps recurses per level and
-        overflows on deep zero-mass chains."""
+        keys.  Node v's children are ids kids[v] to kids[v + 1] - 1; a leaf
+        has none.  It is written from a stack: json.dumps recurses per level
+        and overflows on deep zero-mass chains."""
         letter = self._letter.tolist()
-        first = self._first.tolist()
-        last = self._last.tolist()
-        perm = self.input.perm.tolist()
-        children = [[] for _ in letter]
-        for v, p in enumerate(self._parent.tolist()[1:], start=1):
-            children[p].append(v)
+        slot = self.input.perm[self._first].tolist()
+        kids = (np.searchsorted(self._parent[1:], np.arange(len(letter) + 1))
+                + 1).tolist()
         parts = []
         stack = [0]
         while stack:
             v = stack.pop()
             if isinstance(v, str):
                 parts.append(v)
-            elif v and first[v] == last[v]:
-                parts.append(f'{{"leaf_index":{perm[first[v]]},"letter_index":{letter[v]}}}')
+            elif kids[v] == kids[v + 1]:
+                parts.append(f'{{"leaf_index":{slot[v]},"letter_index":{letter[v]}}}')
             else:
                 parts.append('{"children":[')
                 stack.append(f'],"letter_index":{letter[v]}}}')
-                for k, u in enumerate(reversed(children[v])):
-                    if k:
-                        stack.append(",")
+                for u in range(kids[v + 1] - 1, kids[v], -1):
                     stack.append(u)
+                    stack.append(",")
+                stack.append(kids[v])
         return "".join(parts)
 
 
-def _split(l, r, L, w, s, cum, ensure, finite_t):
+def _split(l, r, L, w, s, cum, finite_t):
     """Divide the sorted block [l, r] with interval [L, L + w) among letters.
 
     Letter m's bin ends at L + w * cum[m]; slot k lands in the bin holding
     its midpoint s[k].  Returns ([(first, last, m), ...] left to right,
-    left_shifted, right_shifted).
+    left_shifted, right_shifted).  cum must hold every letter it reads.
     """
     k = l
     m = 0
@@ -310,8 +308,6 @@ def _split(l, r, L, w, s, cum, ensure, finite_t):
     stole = False
     while k <= r:
         m += 1
-        if m >= len(cum):
-            ensure(m)
         if m == finite_t:
             # Last letter of a finite alphabet: in exact arithmetic every
             # remaining midpoint lies in this bin; taking them directly
@@ -329,8 +325,6 @@ def _split(l, r, L, w, s, cum, ensure, finite_t):
     if len(ranges) == 1:
         # Everything fell in bin 1: move the last item to bin 2 so the
         # node branches.
-        if 2 >= len(cum):
-            ensure(2)
         return [(l, r - 1, 1), (r, r, 2)], stole, True
     return ranges, stole, False
 
@@ -417,7 +411,7 @@ class _Walk:
         """Split the remaining levels block by block with `_split`."""
         P, s = self.views
         t = self.t
-        lcosts, cum, ensure = self.table.costs, self.table.cum, self.table.ensure
+        lcosts, cum = self.table.costs, self.table.cum
         parent, letter, first, last, word_cost = self.buffers
         base = self.base
         bins = lefts = rights = depth = 0
@@ -425,8 +419,7 @@ class _Walk:
             nxt = []
             for l, r, v, wc in level:
                 if l < r:
-                    ranges, stole, rshift = _split(l, r, P[l], P[r + 1] - P[l], s, cum,
-                                                   ensure, t)
+                    ranges, stole, rshift = _split(l, r, P[l], P[r + 1] - P[l], s, cum, t)
                     m = 1 if rshift else ranges[-1][2]
                     bins += m - (m == t)
                     lefts += stole
@@ -599,7 +592,8 @@ def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot) -> CodeTree:
     """
     n = pinput.n
     table = LetterTable(spec, root.value)
-    table.ensure(1)  # a one-symbol input's only letter; every split's first bin
+    # A scalar block has under _VECTOR_SLOTS slots and at most a letter each.
+    table.ensure(min(n, _VECTOR_SLOTS - 1, table.t or n))
     walk = _Walk(pinput, table)
     level = [(0, n - 1, 0, 0.0)]
     if n >= _VECTOR_SLOTS:
@@ -616,7 +610,7 @@ def split_trace(tree: CodeTree) -> list[dict]:
     Per bin: its bounds [lo, hi), the slots whose midpoints fall inside
     (`initial`, None if none) and the slots the letter received (`final`).
     The kernel reruns on the tree's own LetterTable, so every bound is the
-    builder's float.
+    builder's float; the build created every letter a split reads.
     """
     pin = tree.input
     P, s = pin.prefix.tolist(), pin.mid.tolist()
@@ -628,8 +622,7 @@ def split_trace(tree: CodeTree) -> list[dict]:
             continue
         L = P[l]
         w = P[r + 1] - L
-        ranges, stole, rshift = _split(l, r, L, w, s, table.cum, table.ensure,
-                                       table.t)
+        ranges, stole, rshift = _split(l, r, L, w, s, table.cum, table.t)
         bins = []
         for a, b, m in ranges:
             lo = L + w * table.cum[m - 1]

@@ -128,7 +128,8 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
     speedup); CapTooSmallError means every prefix-free code costs more than
     cap + slack, which cannot happen when cap came from a valid code.  The
     slack is 1e-9, or n ulps of the cap where that is more: two sums of the
-    same n products, in different orders, can differ by that much.
+    same n products, in different orders, can differ by that much.  A NaN
+    cap raises ValueError.
     """
     if not spec.is_finite_alphabet:
         raise OracleTooLargeError("oracle needs a finite alphabet")
@@ -141,6 +142,8 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
     costs = [spec.letter_cost(m) for m in range(1, t + 1)]
     probs = pinput.probs.tolist()
     cap_used = math.inf if cap is None else float(cap)
+    if math.isnan(cap_used):  # no value compares below it
+        raise ValueError("cap must be a number, not NaN")
     ceiling = cap_used
     if math.isfinite(cap_used):
         ceiling += max(_CAP_SLACK, n * math.ulp(cap_used))

@@ -422,7 +422,9 @@ def test_exit_parse_errors(capsys, tmp_path):
     assert "normalize" in err
 
 
-@pytest.mark.parametrize("text", ["[null]", "[[0.5], 0.5]", "[0.5, {}]", "[1" + "0" * 400 + "]"])
+# json.loads recurses once per nested array: 3000 levels pass its limit.
+@pytest.mark.parametrize("text", ["[null]", "[[0.5], 0.5]", "[0.5, {}]", "[1" + "0" * 400 + "]",
+                                  pytest.param("[" * 3000 + "]" * 3000, id="nested3000")])
 def test_json_probs_that_are_not_numbers_exit_parse(capsys, tmp_path, text):
     path = tmp_path / "p.json"
     path.write_text(text)
@@ -516,6 +518,18 @@ def test_exit_oracle_errors(capsys):
                        "--inline", "0.5,0.5", "--cap", "0.25")
     assert code == EXIT_ORACLE
     assert err.startswith("error cap_too_small:")
+
+
+def test_oracle_nan_cap_exits_parse(capsys):
+    # With a NaN cap no code ever beat the greedy incumbent.
+    code, out, err = run(capsys, "oracle", "--costs", "finite:1,1.5,2,4", "--inline",
+                         "0.4381883914602914,0.3694675067801307,0.10058977006306621,"
+                         "0.046781581982974274,0.020654476626692977,"
+                         "0.017782912633495823,0.0036656661708954702,"
+                         "0.002869694282453028", "--cap", "nan")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error parse:")
 
 
 # The reason token and exit code each error class maps to.

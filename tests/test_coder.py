@@ -320,6 +320,34 @@ def test_to_json_deep_tree():
     assert parsed["letter_index"] == 0
 
 
+LAYOUT_INPUTS = {
+    "numpy": lambda: make_probs("zipf:1.0", 300, 0),
+    "scalar": lambda: make_probs("zipf:1.0", 40, 0),
+    "chain": lambda: [1.0] + [0.0] * 1500,
+    "one": lambda: [1.0],
+}
+
+
+@pytest.mark.parametrize("spec_text",
+                         ["finite:1,2", "finite:1,1,5", "profile:1,2", "linear", "fib"])
+@pytest.mark.parametrize("kind", sorted(LAYOUT_INPUTS))
+def test_layout_readers_read_the_built_tree(kind, spec_text):
+    """to_json reads each node's children as a range of ids and matches the
+    reference nesting; split_trace reads the letter table without growing it."""
+    tree = build(LAYOUT_INPUTS[kind](), spec_text, normalize=True)
+    letters = len(tree._table.cum)
+    split_trace(tree)
+    assert len(tree._table.cum) == letters
+    text = tree.to_json()
+    # the stdlib decoder and dict comparison recurse once per level
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        assert json.loads(text) == tree_dict(tree)
+    finally:
+        sys.setrecursionlimit(old)
+
+
 def test_to_json_has_no_depth_limit():
     # json.dumps recurses once per level and overflows the C stack on a chain
     # this deep, so run it where a crash cannot take the test session along

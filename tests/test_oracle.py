@@ -231,6 +231,15 @@ def test_cap_semantics():
     assert capped.nodes_explored <= open_search.nodes_explored
 
 
+def test_nan_cap_is_rejected():
+    # Every comparison with NaN is false, so the search would keep its
+    # greedy start as OPT.
+    spec = parse_cost_spec("finite:1,1.5,2,4")
+    for probs in ([1.0], THIRDS_SIXTHS):
+        with pytest.raises(ValueError, match="NaN"):
+            exact_opt(prepare(probs), spec, cap=math.nan)
+
+
 def test_cap_slack_is_absolute_at_ordinary_scales():
     pin = prepare([1.0])  # n = 1: one codeword of cost 1
     spec = parse_cost_spec("finite:1,2")

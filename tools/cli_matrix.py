@@ -72,6 +72,8 @@ EXTREME_ROOTS = ("profile:1e300", "finite:1,1e10", "finite:1,1e300",
 COLLAPSED_BINS = tuple(("--gen", g) for g in (
     "geom:0.5,60", "geom:0.5,200", "geom:0.3,100", "geom:0.9,400", "dyadic:60",
     "dyadic:100"))
+# Above _VECTOR_SLOTS (64) symbols, so the trace and tree read a numpy-built tree.
+NUMPY_INPUT = ("--gen", "zipf:1.0,300")
 # The oracle at the largest n it takes, the size its audits search.
 ORACLE_INPUT = ("--gen", "zipf:1.0,10")
 # An optimal code whose C(T) is 1 ulp below OPT's rearranged sum at 3.3e299.
@@ -103,8 +105,9 @@ def cases():
     for fmt in FORMATS:
         yield HUGE_SCALE_COMPARE + fmt
     for spec in SPECS:
-        for inp in COLLAPSED_BINS:
-            yield ("code", "--costs", spec) + inp + ("--format", "json")
+        for inp in COLLAPSED_BINS + (NUMPY_INPUT,):
+            for extra in ((), ("--trace", "--tree")):
+                yield ("code", "--costs", spec) + inp + ("--format", "json") + extra
 
 
 def run(main, argv):
