@@ -102,9 +102,14 @@ def read_probs_file(path: str) -> list[float]:
             raise ProbInputError("JSON probability file nests too deeply") from exc
         if not isinstance(data, list):
             raise ProbInputError("JSON probability file must hold an array")
+        for v in data:
+            # float() would take true and "0.5" too.
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ProbInputError(
+                    f"JSON probability file holds a non-number: {json.dumps(v)[:40]}")
         try:
             return [float(v) for v in data]
-        except (TypeError, OverflowError) as exc:  # null, array, object, huge int
+        except OverflowError as exc:  # an int past the float range
             raise ProbInputError(f"JSON probability file holds a non-number: {exc}") from exc
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):

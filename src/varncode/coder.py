@@ -39,8 +39,11 @@ from .errors import ProbInputError
 
 _SUM_TOL = 1e-9
 # From this many symbols up, prepare sorts with numpy's default sort and checks
-# for ties.  With numpy 2.4 on a 2-core x86-64 VM, that took 3.5-4 us against
-# 2 us for the stable sort at 8-64 symbols, and 76 us against 256 us at 4096.
+# for ties, and tests the sum on numpy's sum before taking the exact one.  With
+# numpy 2.4 on a 2-core x86-64 VM, the sort took 3.5-4 us against 2 us for the
+# stable sort at 8-64 symbols, and 76 us against 256 us at 4096; numpy's sum
+# took 2.1 us against 0.4-1.4 us for math.fsum at 8-64, and 3 us against 115
+# us at 4096.
 _CHECKED_SORT_MIN = 64
 
 
@@ -57,7 +60,6 @@ class ProbInput:
     prefix: np.ndarray
     mid: np.ndarray
     perm: np.ndarray
-    total: float
 
     @property
     def n(self) -> int:
@@ -87,7 +89,8 @@ def prepare(probs, normalize: bool = False) -> ProbInput:
     sorted neighbours are equal (0.0 and -0.0 included), and only then is it
     sorted again with the stable sort.  Below `_CHECKED_SORT_MIN` symbols the
     stable sort alone is cheaper than the default sort plus that check, so
-    small inputs take it directly.
+    small inputs take it directly.  The sum is tested with math.fsum, unless
+    from that size up numpy's sum lies far enough inside the tolerance.
     """
     try:
         a = np.array(probs, dtype=np.float64, copy=True)
@@ -99,23 +102,31 @@ def prepare(probs, normalize: bool = False) -> ProbInput:
         raise ProbInputError("probabilities must be finite")
     if np.any(a < 0.0):
         raise ProbInputError("probabilities must be nonnegative")
-    try:
-        total = math.fsum(memoryview(a))
-    except OverflowError:  # the sum passes the float range
-        if not normalize:
-            raise ProbInputError("probabilities sum beyond the float range") from None
-        a = a / a.max()
-        total = math.fsum(memoryview(a))
-    if total <= 0.0:
-        raise ProbInputError("probabilities sum to zero")
-    if normalize:
-        a = a / total
-        total = math.fsum(memoryview(a))
-    elif abs(total - 1.0) > _SUM_TOL:
-        raise ProbInputError(
-            f"probabilities sum to {total!r}; pass normalize=True to rescale"
-        )
     checked = a.size >= _CHECKED_SORT_MIN
+    exact = normalize or not checked
+    if not exact:
+        # n nonnegative floats added in any order are within (n-1)*2^-53 of
+        # their exact sum, relative, and fsum within 2^-53: a sum more than
+        # 2n*2^-53 inside the tolerance passes the exact rule too.
+        with np.errstate(over="ignore"):
+            rough = float(np.add.reduce(a))
+        exact = abs(rough - 1.0) > _SUM_TOL - a.size * 2.0 ** -52 * rough
+    if exact:
+        try:
+            total = math.fsum(memoryview(a))
+        except OverflowError:  # the sum passes the float range
+            if not normalize:
+                raise ProbInputError("probabilities sum beyond the float range") from None
+            a = a / a.max()
+            total = math.fsum(memoryview(a))
+        if total <= 0.0:
+            raise ProbInputError("probabilities sum to zero")
+        if normalize:
+            a = a / total
+        elif abs(total - 1.0) > _SUM_TOL:
+            raise ProbInputError(
+                f"probabilities sum to {total!r}; pass normalize=True to rescale"
+            )
     order = np.argsort(-a, kind=None if checked else "stable")
     sorted_p = a[order]
     if checked and (sorted_p[1:] == sorted_p[:-1]).any():
@@ -136,7 +147,6 @@ def prepare(probs, normalize: bool = False) -> ProbInput:
         prefix=prefix,
         mid=mid,
         perm=order.astype(np.int64),
-        total=total,
     )
 
 
@@ -334,7 +344,9 @@ class BuildStats(NamedTuple):
 
     left_shifts and right_shifts count the splits that took each fixup;
     bins_evaluated counts the bin ends L + w*cum[m] computed, on either split
-    path: the build's unit of work, a few per symbol.
+    path: the build's unit of work, a few per symbol.  A finite alphabet's
+    last letter takes the rest of its block, so its bin end is neither
+    computed nor counted.
     """
 
     nodes: int
@@ -483,26 +495,28 @@ class _Walk:
             jp = jprev[active]
             # No block needs more letters than it has slots left.
             K = min(K, int((ra - jp).max()), t - m0 if t else K)
-            cum = table.arrays(m0 + K)[1][m0 + 1:m0 + K + 1]
+            # A finite alphabet's last letter takes the rest of every block,
+            # so its bin end is never computed.
+            forced = m0 + K == t
+            cum = table.arrays(m0 + K)[1][m0 + 1:m0 + K + 1 - forced]
             R = L[active, None] + w[active, None] * cum
             self.bins += R.size
             J = np.minimum(np.searchsorted(pin.mid, R), ra[:, None] + 1) - 1
-            if m0 + K == t:  # a finite alphabet's last letter takes the rest
-                J[:, -1] = ra
+            if forced:
+                J = np.concatenate((J, ra[:, None]), axis=1)
             col = np.arange(1, K + 1)
             j = col + np.maximum(jp[:, None], np.maximum.accumulate(J - col, axis=1))
             first = np.concatenate((jp[:, None], j[:, :-1]), axis=1) + 1
             done = j >= ra[:, None]
             finished = done[:, -1]
             last = np.where(finished, done.argmax(axis=1) + 1, K)
+            # Block i takes letters m0 + 1 .. m0 + last[i], in row-major order.
             valid = col <= last[:, None]
-            steal = valid & (J < first)
-            i, c = np.nonzero(valid)
-            rows.append(active[i])
-            letters.append(m0 + 1 + c)
-            firsts.append(first[i, c])
-            lasts.append(j[i, c])
-            stole[active] |= steal.any(axis=1)
+            stole[active[np.flatnonzero(valid & (J < first)) // K]] = True
+            rows.append(np.repeat(active, last))
+            letters.append(np.tile(m0 + col, (active.size, 1))[valid])
+            firsts.append(first[valid])
+            lasts.append(j[valid])
             count[active[finished]] = m0 + last[finished]
             more = ~finished
             jprev[active[more]] = j[more, -1]
@@ -513,16 +527,19 @@ class _Walk:
         # Everything fell in bin 1: move the last slot to bin 2 so the node
         # branches.
         shifted = np.flatnonzero(count == 1)
-        b[(m == 1) & (count[row] == 1)] -= 1
-        count[shifted] = 2
-        row = np.concatenate((row, shifted))
-        m = np.concatenate((m, np.full(shifted.size, 2)))
-        a = np.concatenate((a, r[shifted]))
-        b = np.concatenate((b, r[shifted]))
-        # A block's letters are 1..count: place each child by its letter.
-        at = (np.cumsum(count) - count)[row] + m - 1
-        for x in (row, m, a, b):
-            x[at] = x.copy()
+        if shifted.size:
+            b[(m == 1) & (count[row] == 1)] -= 1
+            count[shifted] = 2
+            row = np.concatenate((row, shifted))
+            m = np.concatenate((m, np.full(shifted.size, 2)))
+            a = np.concatenate((a, r[shifted]))
+            b = np.concatenate((b, r[shifted]))
+        # A block's letters are 1..count: place each child by its letter.  One
+        # round over every block, unshifted, already left them in that order.
+        if len(rows) > 2 or zrow.size or shifted.size:
+            at = (np.cumsum(count) - count)[row] + m - 1
+            for x in (row, m, a, b):
+                x[at] = x.copy()
         self.left_shifts += int(stole.sum())
         self.right_shifts += shifted.size
         lcosts = table.arrays(int(count.max()))[0]

@@ -694,7 +694,7 @@ class LetterTable:
         # later entry equals cum[-1] too.  Only a repeating profile checks:
         # its tail is the one the table can then add in closed form.
         self._flat = False
-        self._arrays = None
+        self._arrays = (np.empty(0), np.empty(0))
         if fam is None:
             self.t = len(spec.costs)
             self._prefix, self._tail_d = 0, 0
@@ -760,8 +760,11 @@ class LetterTable:
 
     def arrays(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(costs, cum) as float64 arrays holding at least letters 0..m; the
-        copy is kept until the table grows."""
+        copy is kept, and only the letters added since are converted when
+        the table grows."""
         self.ensure(m)
-        if self._arrays is None or len(self._arrays[0]) != len(self.costs):
-            self._arrays = (np.array(self.costs), np.array(self.cum))
+        have = len(self._arrays[0])
+        if have != len(self.costs):
+            self._arrays = tuple(np.concatenate((x, y[have:]))
+                                 for x, y in zip(self._arrays, (self.costs, self.cum)))
         return self._arrays

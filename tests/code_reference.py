@@ -81,9 +81,8 @@ def reference_prepare(probs, normalize: bool = False) -> ProbInput:
         raise ProbInputError("probabilities sum to zero")
     if normalize:
         a = a / total
-        total = math.fsum(a.tolist())
     elif abs(total - 1.0) > _SUM_TOL:
-        raise ProbInputError(f"probabilities sum to {total!r}")
+        raise ProbInputError(f"probabilities sum to {total!r}; pass normalize=True to rescale")
     order = np.argsort(-a, kind="stable")
     sorted_p = a[order]
     ld = sorted_p.astype(np.longdouble)
@@ -96,16 +95,15 @@ def reference_prepare(probs, normalize: bool = False) -> ProbInput:
     shifted[1:] = csum[:-1]
     mid = (shifted + 0.5 * ld).astype(np.float64)
     return ProbInput(probs=sorted_p, prefix=prefix, mid=mid,
-                     perm=order.astype(np.int64), total=total)
+                     perm=order.astype(np.int64))
 
 
 def assert_same_prepared(got: ProbInput, want: ProbInput) -> None:
-    """Every array field equal in dtype and bytes, and total equal in bits."""
+    """Every array field equal in dtype and bytes."""
     for field in ("perm", "probs", "prefix", "mid"):
         x, y = getattr(got, field), getattr(want, field)
         assert x.dtype == y.dtype and x.shape == y.shape, field
         assert x.tobytes() == y.tobytes(), field
-    assert got.total.hex() == want.total.hex()
 
 
 def tree_dict(tree) -> dict:

@@ -423,8 +423,10 @@ def test_exit_parse_errors(capsys, tmp_path):
 
 
 # json.loads recurses once per nested array: 3000 levels pass its limit.
+# float() would take booleans and numeric strings, but they are not numbers.
 @pytest.mark.parametrize("text", ["[null]", "[[0.5], 0.5]", "[0.5, {}]", "[1" + "0" * 400 + "]",
-                                  pytest.param("[" * 3000 + "]" * 3000, id="nested3000")])
+                                  pytest.param("[" * 3000 + "]" * 3000, id="nested3000"),
+                                  "[true, false]", '[0.5, "0.5"]'])
 def test_json_probs_that_are_not_numbers_exit_parse(capsys, tmp_path, text):
     path = tmp_path / "p.json"
     path.write_text(text)

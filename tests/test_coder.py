@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -115,16 +116,51 @@ def test_prepare_matches_the_reference_at_large_n(make, normalize):
 def test_prepare_normalize():
     pin = prepare([3.0, 1.0], normalize=True)
     assert pin.probs.tolist() == [0.75, 0.25]
-    assert abs(pin.total - 1.0) < 1e-12
+    assert abs(math.fsum(pin.probs) - 1.0) < 1e-12
     # within-tolerance sums pass untouched
     ok = prepare([0.5, 0.5 + 5e-10])
-    assert ok.total != 1.0
+    assert math.fsum(ok.probs) != 1.0
 
 
 def test_prepare_sum_past_the_float_range():
     with pytest.raises(ProbInputError):
         prepare([1e308, 1e308])
     assert prepare([1e308, 1e308], normalize=True).probs.tolist() == [0.5, 0.5]
+
+
+def _sum_near(n, target, tiny):
+    """n masses whose exact sum is within an ulp of target: 0.9, then n - 2
+    masses of tiny * 2^-53, then the rest.  Added one by one to 0.9, a mass
+    with tiny < 1/2 rounds away and one with tiny > 1/2 rounds up to 2^-53,
+    so a float sum that adds them there misses the exact one by ulps."""
+    x = np.full(n, tiny * 2.0 ** -53)
+    x[0], x[-1] = 0.9, 0.0
+    for _ in range(4):
+        x[-1] += target - math.fsum(x)
+    return x
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_prepare_decides_the_sum_tolerance_as_the_exact_sum_does(normalize):
+    """prepare decides |sum - 1| <= 1e-9 from a rough sum away from the
+    edge; at the edge, past the float range and at a zero sum its verdict,
+    error and message are those of the exact sum, and numpy warns of
+    nothing."""
+    cases = [_sum_near(n, edge + k * np.spacing(edge), tiny)
+             for n in (2, 10 ** 5) for edge in (1.0 + 1e-9, 1.0 - 1e-9)
+             for k in range(-4, 5) for tiny in (0.4, 0.75)]
+    cases += [np.array([1e308, 1e308]), np.full(64, 1e307), np.zeros(3), np.zeros(64)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in cases:
+            try:
+                want = reference_prepare(x, normalize=normalize)
+            except ProbInputError as exc:
+                with pytest.raises(ProbInputError) as got:
+                    prepare(x, normalize=normalize)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_prepared(prepare(x, normalize=normalize), want)
 
 
 def test_prepare_accuracy_large_n():

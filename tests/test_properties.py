@@ -197,10 +197,27 @@ def _node_arrays(tree):
 # More letters than numpy's int64 holds (t = 10**19 + 1), on both kinds of block.
 @example(spec_text="profile:1e19,1", weights=[1.0] * 100)
 @example(spec_text="profile:1e19,1", weights=[1.0] + [0.0] * 99)
+# t = 3: the root's second round holds only letter 3, whose bin end is not
+# computed.
+@example(spec_text="finite:1,1,5", weights=[1.0] * 64)
+# A level of two blocks, one of them right-shifted.
+@example(spec_text="finite:1,5", weights=[1.0] * 9)
 def test_numpy_and_scalar_split_paths_build_the_same_tree(spec_text, weights):
     vector = _node_arrays(_build_on_one_path(2, spec_text, weights))
     scalar = _node_arrays(_build_on_one_path(10 ** 9, spec_text, weights))
     assert vector == scalar
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec_text=st.sampled_from(("finite:1,2", "telegraph")),
+       weights=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=300))
+def test_both_split_paths_compute_one_bin_end_per_two_letter_split(spec_text, weights):
+    """Under t = 2 a split computes letter 1's bin end only: letter 2 takes
+    the rest.  Every mass is positive, so no block has zero width (those
+    split in closed form on the numpy path)."""
+    vector = _build_on_one_path(2, spec_text, weights).stats
+    scalar = _build_on_one_path(10 ** 9, spec_text, weights).stats
+    assert vector.bins_evaluated == scalar.bins_evaluated == scalar.internal
 
 
 def test_zero_width_block_over_subnormals_keeps_their_weights():
@@ -384,7 +401,10 @@ def test_cli_maps_any_json_probs_to_a_documented_exit(tmp_path_factory, values,
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    assert code in (0, 2, 3, 4, 5)
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        assert code == 2  # booleans and strings included
+    else:
+        assert code in (0, 2, 3, 4, 5)
 
 
 # Few values, so most vectors hold ties.  From `coder._CHECKED_SORT_MIN` = 64
