@@ -2,7 +2,8 @@
 
 Any spec and vector build a prefix-free code within the Kraft bound, deep
 geometric tails whose bins collapse below an ulp included; the numpy and the
-scalar split paths build the same tree bit for bit; split_trace describes
+scalar split paths build the same tree bit for bit, and under two letters
+count the same bin ends; split_trace describes
 exactly the tree it was derived from; every bound row the report applies
 holds, and the cost and entropy decompositions add up; the exact oracle finds
 what its unpruned search finds; the characteristic root is within 8 unit
