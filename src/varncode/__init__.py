@@ -37,15 +37,10 @@ from .coder import (
 from .costs import (
     CharRoot,
     CostSpec,
-    balanced_words,
     char_root,
     custom_profile,
-    fibonacci,
     finite_list,
-    linear,
     parse_cost_spec,
-    repeat,
-    telegraph,
 )
 from .errors import (
     CapTooSmallError,

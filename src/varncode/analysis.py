@@ -99,6 +99,11 @@ class ApproxBound:
     f_value: float
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon <= 0.5:
+        raise ValueError("epsilon must lie in (0, 1/2]")
+
+
 def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
     """Compute N_eps in one walk up the cost levels and assemble f(C, eps).
 
@@ -108,8 +113,7 @@ def approx_bound(spec: CostSpec, root: CharRoot, epsilon: float) -> ApproxBound:
     The walk stops at the first N (0 or a level's cost) whose tail is at
     most epsilon/6, having counted the letters costing at most N on the way.
     """
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError("epsilon must lie in (0, 1/2]")
+    _check_epsilon(epsilon)
     if not root.tail_convergent:
         raise ValueError("approximation bound needs a convergent cost-weighted tail")
     c = root.value
@@ -191,8 +195,8 @@ def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
 
     The tree carries its input, spec, and root.  Each of the five fixed
     bounds applies exactly when its value is finite; on a finite alphabet an
-    infinite value can only be a float overflow.  `epsilon` enables the
-    approximation-bound row, reported in NR form:
+    infinite value can only be a float overflow.  `epsilon`, in (0, 1/2] on
+    every alphabet, enables the approximation-bound row, in NR form:
     2(1-p1) + c(c2-c1) + c*N_eps + (eps/2)*c*C(T).
     """
     pinput = tree.input
@@ -223,18 +227,20 @@ def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:
     ab = None
     if epsilon is None:
         rows.append(BoundValue(BOUND_APPROX_PREFIX, None, False, "epsilon_not_set"))
-    elif not root.tail_convergent:
-        name = f"{BOUND_APPROX_PREFIX}({epsilon:g})"
-        rows.append(BoundValue(name, None, False, "divergent_tail"))
     else:
-        ab = approx_bound(spec, root, epsilon)
-        value = (
-            2.0 * (1.0 - p1)
-            + c * spec.second_cost_gap
-            + c * ab.cost_threshold
-            + 0.5 * epsilon * c * C
-        )
-        rows.append(BoundValue(f"{BOUND_APPROX_PREFIX}({epsilon:g})", value, True))
+        _check_epsilon(epsilon)
+        name = f"{BOUND_APPROX_PREFIX}({epsilon:g})"
+        if not root.tail_convergent:
+            rows.append(BoundValue(name, None, False, "divergent_tail"))
+        else:
+            ab = approx_bound(spec, root, epsilon)
+            value = (
+                2.0 * (1.0 - p1)
+                + c * spec.second_cost_gap
+                + c * ab.cost_threshold
+                + 0.5 * epsilon * c * C
+            )
+            rows.append(BoundValue(name, value, True))
 
     return AnalysisReport(
         cost=C,

@@ -404,30 +404,8 @@ def finite_list(costs, label="") -> CostSpec:
     """Finite alphabet from an iterable of positive costs (sorted on entry)."""
     tup = tuple(sorted(float(c) for c in costs))
     if not label:
-        label = "finite:" + ",".join(_fmt(c) for c in tup)
+        label = "finite:" + ",".join(f"{c:g}" for c in tup)
     return CostSpec(costs=tup, family=None, label=label)
-
-
-def linear() -> CostSpec:
-    return CostSpec(family=CustomProfileFamily((), 1), label="linear")
-
-
-def repeat(d: int) -> CostSpec:
-    if d < 1:
-        raise CostSpecError("repeat multiplicity must be >= 1")
-    return CostSpec(family=CustomProfileFamily((), d), label=f"repeat:{int(d)}")
-
-
-def fibonacci() -> CostSpec:
-    return CostSpec(family=FibonacciFamily(), label="fib")
-
-
-def balanced_words() -> CostSpec:
-    return CostSpec(family=BalancedWordsFamily(), label="balanced")
-
-
-def telegraph() -> CostSpec:
-    return finite_list((1.0, 2.0), label="telegraph")
 
 
 def custom_profile(prefix, tail="zero", label="") -> CostSpec:
@@ -443,19 +421,15 @@ def custom_profile(prefix, tail="zero", label="") -> CostSpec:
     return CostSpec(family=fam, label=label)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:g}"
-
-
 # ---------------------------------------------------------------------------
 # DSL
 # ---------------------------------------------------------------------------
 
 _NAMED_SPECS = {
-    "telegraph": telegraph,
-    "linear": linear,
-    "fib": fibonacci,
-    "balanced": balanced_words,
+    "telegraph": lambda: finite_list((1.0, 2.0), label="telegraph"),
+    "linear": lambda: CostSpec(family=CustomProfileFamily((), 1), label="linear"),
+    "fib": lambda: CostSpec(family=FibonacciFamily(), label="fib"),
+    "balanced": lambda: CostSpec(family=BalancedWordsFamily(), label="balanced"),
 }
 
 
@@ -507,7 +481,10 @@ def parse_cost_spec(text: str) -> CostSpec:
         parts = _parse_floats(rest, "repeat")
         if len(parts) != 1 or parts[0] != int(parts[0]):
             raise CostSpecError("repeat takes one integer: repeat:d")
-        return repeat(int(parts[0]))
+        d = int(parts[0])
+        if d < 1:
+            raise CostSpecError("repeat multiplicity must be >= 1")
+        return CostSpec(family=CustomProfileFamily((), d), label=f"repeat:{d}")
 
     if head == "profile":
         pieces = [p.strip() for p in rest.split(";") if p.strip()]
@@ -678,9 +655,10 @@ class LetterTable:
     parent interval; `t` is the exact letter count, 0 for an infinite
     alphabet.  A profile's table grows as the builder asks for deeper bins, a
     level at a time: multiplicity(j) up to a repeating tail (or until all t
-    letters are in), then tail_d letters per level.  It holds only ints and
-    the family, so it pickles mid-walk.  Each cum entry adds one letter's
-    weight to the one before it, so its bits do not depend on how it grew.
+    letters are in), then tail_d letters per level.  It holds numbers, lists,
+    arrays and the family, but no generator, so it pickles mid-walk.  Each
+    cum entry adds one letter's weight to the one before it, so its bits do
+    not depend on how it grew.
     """
 
     def __init__(self, spec: CostSpec, c: float):

@@ -11,19 +11,15 @@ import time
 import numpy as np
 
 from varncode import (
-    balanced_words,
     build_code,
     char_root,
     entropy,
     exact_opt,
-    fibonacci,
     finite_list,
-    linear,
     parse_cost_spec,
     prepare,
     reference_bound,
     report,
-    repeat,
     size_bound,
 )
 from varncode.analysis import approx_bound, multiplicity_bound
@@ -51,13 +47,13 @@ def test_criterion_1_root_golden_values():
     if abs(c12 - expect12) > 1e-9:
         bad.append(f"finite:1,2 root {c12!r}")
     for d in range(1, 9):
-        cd = char_root(repeat(d)).value
+        cd = char_root(parse_cost_spec(f"repeat:{d}")).value
         if abs(cd - math.log2(d + 1)) > 1e-9:
             bad.append(f"repeat:{d} root {cd!r}")
-    cf = char_root(fibonacci()).value
+    cf = char_root(parse_cost_spec("fib")).value
     if abs(cf - 1.2715533031636117) > 1e-6:
         bad.append(f"fib root {cf!r}")
-    rb = char_root(balanced_words())
+    rb = char_root(parse_cost_spec("balanced"))
     if rb.value != 1.0:
         bad.append(f"balanced root {rb.value!r}")
     if rb.tail_convergent:
@@ -164,7 +160,7 @@ def test_criterion_4_oracle_gap_audit():
 def test_criterion_5_infinite_alphabet_run():
     t0 = time.perf_counter()
     bad = []
-    spec = linear()
+    spec = parse_cost_spec("linear")
     root = char_root(spec)
     pin = prepare(make_probs("zipf:1.0", 10 ** 5, 0))
     tree = build_code(pin, spec, root)
@@ -178,7 +174,7 @@ def test_criterion_5_infinite_alphabet_run():
 def test_criterion_6_approx_bound_audit():
     t0 = time.perf_counter()
     bad = []
-    spec = fibonacci()
+    spec = parse_cost_spec("fib")
     root = char_root(spec)
     c = root.value
     z = 2.0 ** (-c)
@@ -272,7 +268,7 @@ def median_build_times(spec, root, n, repeats=5):
 def test_criterion_9_performance_scaling():
     t0 = time.perf_counter()
     bad = []
-    spec = linear()
+    spec = parse_cost_spec("linear")
     root = char_root(spec)
     pin = prepare(make_probs("zipf:1.0", 10 ** 6, 0))
     t_build = time.perf_counter()
@@ -300,7 +296,7 @@ def test_criterion_9_bins_evaluated_per_symbol():
     """
     t0 = time.perf_counter()
     bad = []
-    spec = linear()
+    spec = parse_cost_spec("linear")
     root = char_root(spec)
     for n in (10 ** 4, 10 ** 5, 10 ** 6):
         stats = build_code(prepare(make_probs("zipf:1.0", n, 0)), spec, root).stats

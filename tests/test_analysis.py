@@ -14,15 +14,12 @@ from varncode import (
     BOUND_REFERENCE,
     BOUND_SIZE,
     approx_bound,
-    balanced_words,
     beta_bound,
     build_code,
     char_root,
     custom_profile,
     entropy,
-    fibonacci,
     finite_list,
-    linear,
     max_cost_bound,
     multiplicity_bound,
     parse_cost_spec,
@@ -30,7 +27,6 @@ from varncode import (
     reference_bound,
     report,
     size_bound,
-    telegraph,
 )
 
 THIRDS_SIXTHS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0)
@@ -66,7 +62,7 @@ def hand_probs():
 
 
 def test_reference_bound_telegraph():
-    spec = telegraph()
+    spec = parse_cost_spec("telegraph")
     root = char_root(spec)
     p1, pn = hand_probs()
     assert reference_bound(spec, root, p1, pn) == pytest.approx(
@@ -75,7 +71,7 @@ def test_reference_bound_telegraph():
 
 
 def test_max_cost_bound_telegraph():
-    spec = telegraph()
+    spec = parse_cost_spec("telegraph")
     root = char_root(spec)
     p1, _ = hand_probs()
     assert max_cost_bound(spec, root, p1) == pytest.approx(
@@ -84,7 +80,7 @@ def test_max_cost_bound_telegraph():
 
 
 def test_beta_bound_telegraph():
-    spec = telegraph()
+    spec = parse_cost_spec("telegraph")
     root = char_root(spec)
     p1, _ = hand_probs()
     # second-letter gap term: c * (2 - 1); beta term: 1 + log2(phi)
@@ -93,7 +89,7 @@ def test_beta_bound_telegraph():
 
 
 def test_size_bound_telegraph():
-    spec = telegraph()
+    spec = parse_cost_spec("telegraph")
     root = char_root(spec)
     p1, _ = hand_probs()
     assert size_bound(spec, root, p1) == pytest.approx(
@@ -103,13 +99,13 @@ def test_size_bound_telegraph():
 
 def test_multiplicity_bound_values():
     p1 = 0.5
-    spec = telegraph()
+    spec = parse_cost_spec("telegraph")
     root = char_root(spec)
     z = 2.0 ** (-root.value)
     expect = 1.0 + max(root.value, 1.0 + math.log2(1.0 / (1.0 - z)))
     assert multiplicity_bound(spec, root, p1) == pytest.approx(expect, abs=1e-9)
 
-    lin = linear()
+    lin = parse_cost_spec("linear")
     lroot = char_root(lin)
     # K = 1 and z = 1/2, so the log term is exactly 2
     assert multiplicity_bound(lin, lroot, p1) == pytest.approx(3.0, abs=1e-12)
@@ -128,7 +124,8 @@ def test_bounds_are_inf_where_their_quantity_is_infinite():
     infinite for fib and balanced but finite (2 and 1) for linear."""
     p1, pn = hand_probs()
     for spec, beta_and_k_infinite in (
-        (linear(), False), (fibonacci(), True), (balanced_words(), True),
+        (parse_cost_spec("linear"), False), (parse_cost_spec("fib"), True),
+        (parse_cost_spec("balanced"), True),
     ):
         root = char_root(spec)
         assert reference_bound(spec, root, p1, pn) == math.inf
@@ -159,14 +156,14 @@ def test_bound_orderings():
 # ---------------------------------------------------------------------------
 
 def test_approx_bound_epsilon_validation():
-    root = char_root(fibonacci())
+    root = char_root(parse_cost_spec("fib"))
     for eps in (0.0, -0.1, 0.51, 2.0):
         with pytest.raises(ValueError):
-            approx_bound(fibonacci(), root, eps)
+            approx_bound(parse_cost_spec("fib"), root, eps)
 
 
 def test_approx_bound_fib_thresholds():
-    spec = fibonacci()
+    spec = parse_cost_spec("fib")
     root = char_root(spec)
     expected = {0.5: 13.0, 0.25: 15.0, 0.1: 18.0}
     counts = {0.5: 609, 0.25: 1596, 0.1: 6764}
@@ -182,7 +179,7 @@ def test_approx_bound_fib_thresholds():
 
 def test_approx_bound_fib_minimality():
     """The scan stops at the first level whose weighted tail fits."""
-    spec = fibonacci()
+    spec = parse_cost_spec("fib")
     root = char_root(spec)
     z = 2.0 ** (-root.value)
     F = [0, 1, 1]
@@ -201,7 +198,7 @@ def test_approx_bound_fib_minimality():
 
 
 def test_approx_bound_linear():
-    spec = linear()
+    spec = parse_cost_spec("linear")
     root = char_root(spec)
     # tail beyond N is (N+2) * 2^-N; first fit for eps=0.5 is N=7
     ab = approx_bound(spec, root, 0.5)
@@ -212,7 +209,7 @@ def test_approx_bound_linear():
 
 
 def test_approx_bound_finite_stops_at_max_cost():
-    spec = telegraph()
+    spec = parse_cost_spec("telegraph")
     root = char_root(spec)
     ab = approx_bound(spec, root, 0.5)
     assert ab.cost_threshold == 2.0
@@ -247,7 +244,7 @@ def test_approx_bound_tails_are_exact_at_tiny_epsilon():
 
 
 def test_approx_bound_divergent_tail():
-    spec = balanced_words()
+    spec = parse_cost_spec("balanced")
     root = char_root(spec)
     with pytest.raises(ValueError, match="convergent"):
         approx_bound(spec, root, 0.5)

@@ -575,10 +575,14 @@ def test_dominator_option_is_rejected(capsys):
     assert "unknown profile option 'dominator'" in err
 
 
-def test_epsilon_out_of_range(capsys):
-    code, _, err = run(capsys, "bounds", "--costs", "fib",
-                       "--gen", "uniform:5", "--epsilon", "0.9")
+@pytest.mark.parametrize("spec", ["fib", "balanced"])
+@pytest.mark.parametrize("epsilon", ["0.9", "nan"])
+def test_epsilon_out_of_range(capsys, spec, epsilon):
+    # balanced's tail diverges, so its Thm_approx row never reaches approx_bound.
+    code, _, err = run(capsys, "bounds", "--costs", spec,
+                       "--gen", "uniform:5", "--epsilon", epsilon)
     assert code == EXIT_PARSE
+    assert "epsilon must lie in (0, 1/2]" in err
 
 
 # ---------------------------------------------------------------------------

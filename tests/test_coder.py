@@ -17,10 +17,8 @@ from varncode import (
     build_code,
     char_root,
     finite_list,
-    linear,
     parse_cost_spec,
     prepare,
-    repeat,
     report,
     split_trace,
 )

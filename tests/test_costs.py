@@ -8,20 +8,21 @@ import pytest
 
 from varncode import (
     CostSpecError,
-    balanced_words,
     build_code,
     char_root,
     custom_profile,
-    fibonacci,
     finite_list,
-    linear,
     parse_cost_spec,
     prepare,
     reference_bound,
-    repeat,
-    telegraph,
 )
-from varncode.costs import CostSpec, CustomProfileFamily, LetterTable
+from varncode.costs import (
+    BalancedWordsFamily,
+    CostSpec,
+    CustomProfileFamily,
+    FibonacciFamily,
+    LetterTable,
+)
 
 from code_reference import root_60_digits
 from test_oracle import REFERENCE_SPECS
@@ -76,11 +77,11 @@ def test_letter_cost_indexing():
     with pytest.raises(CostSpecError):
         spec.letter_cost(5)
 
-    lin = linear()
+    lin = parse_cost_spec("linear")
     assert [lin.letter_cost(m) for m in (1, 2, 3)] == [1.0, 2.0, 3.0]
-    rep = repeat(3)
+    rep = parse_cost_spec("repeat:3")
     assert [rep.letter_cost(m) for m in (1, 3, 4, 6, 7)] == [1.0, 1.0, 2.0, 2.0, 3.0]
-    fib = fibonacci()
+    fib = parse_cost_spec("fib")
     # multiplicities 1, 1, 2, 3: letters 1|2|3 4|5 6 7
     assert [fib.letter_cost(m) for m in (1, 2, 3, 4, 5, 7)] == [1.0, 2.0, 3.0, 3.0, 4.0, 4.0]
 
@@ -206,12 +207,13 @@ def test_normalize_rescales_finite_lists():
     assert norm.costs == (1.0, 2.0, 3.5)
     assert norm.is_normalized
     assert norm.normalize() is norm
-    assert linear().normalize() is not None  # profiles pass through
-    assert repeat(2).normalize().kind == "IntegerProfile"
+    assert parse_cost_spec("linear").normalize() is not None  # profiles pass through
+    assert parse_cost_spec("repeat:2").normalize().kind == "IntegerProfile"
 
 
 def test_char_sum_decreases():
-    for spec in (telegraph(), finite_list([1.0, 1.0, 5.0]), linear(), fibonacci()):
+    for spec in (parse_cost_spec("telegraph"), finite_list([1.0, 1.0, 5.0]),
+                 parse_cost_spec("linear"), parse_cost_spec("fib")):
         values = [spec.char_sum(c) for c in (0.7, 1.1, 1.6, 2.4)]
         finite = [v for v in values if math.isfinite(v)]
         assert all(a > b for a, b in zip(finite, finite[1:]))
@@ -222,27 +224,30 @@ def test_char_sum_decreases():
 # ---------------------------------------------------------------------------
 
 def test_root_golden_values():
-    assert abs(char_root(telegraph()).value - ROOT_12) < 1e-9
-    assert abs(char_root(telegraph()).value - (1.0 - math.log2(math.sqrt(5.0) - 1.0))) < 1e-9
+    tel = char_root(parse_cost_spec("telegraph")).value
+    assert abs(tel - ROOT_12) < 1e-9
+    assert abs(tel - (1.0 - math.log2(math.sqrt(5.0) - 1.0))) < 1e-9
     assert abs(char_root(finite_list([1.0, 3.0])).value - ROOT_13) < 1e-9
     assert abs(char_root(finite_list([1.0, 2.0, 3.0])).value - ROOT_123) < 1e-9
     assert abs(char_root(finite_list([1.0, 1.0, 5.0])).value - ROOT_115) < 1e-9
 
 
 def test_root_closed_forms():
-    assert char_root(linear()).value == 1.0
+    assert char_root(parse_cost_spec("linear")).value == 1.0
     for d in range(1, 9):
-        assert abs(char_root(repeat(d)).value - math.log2(d + 1)) < 1e-12
-    fib = char_root(fibonacci())
+        root = char_root(parse_cost_spec(f"repeat:{d}"))
+        assert abs(root.value - math.log2(d + 1)) < 1e-12
+    fib = char_root(parse_cost_spec("fib"))
     assert abs(fib.value - (-math.log2(math.sqrt(2.0) - 1.0))) < 1e-12
     assert abs(fib.value - 1.2715533031636117) < 1e-9
-    bal = char_root(balanced_words())
+    bal = char_root(parse_cost_spec("balanced"))
     assert bal.value == 1.0
     assert not bal.tail_convergent
 
 
 def test_root_residual_certificate():
-    for spec in (telegraph(), finite_list([1.0, 2.0, 3.0]), repeat(4), fibonacci()):
+    for spec in (parse_cost_spec("telegraph"), finite_list([1.0, 2.0, 3.0]),
+                 parse_cost_spec("repeat:4"), parse_cost_spec("fib")):
         root = char_root(spec)
         assert root.residual <= 1e-9
         assert abs(spec.char_sum(root.value) - 1.0) == root.residual
@@ -250,7 +255,8 @@ def test_root_residual_certificate():
 
 def test_root_matches_bisection_on_profile_prefixes():
     """Closed-form roots agree with plain bisection over truncations."""
-    for spec, levels in ((linear(), 40), (repeat(3), 40), (fibonacci(), 60)):
+    for text, levels in (("linear", 40), ("repeat:3", 40), ("fib", 60)):
+        spec = parse_cost_spec(text)
         exact = char_root(spec).value
         d = spec.d_profile(levels)
         lo, hi = 1e-9, 64.0
@@ -309,12 +315,12 @@ def test_root_matches_the_60_digit_root(spec_text):
 # ---------------------------------------------------------------------------
 
 def test_beta_golden_values():
-    assert abs(char_root(telegraph()).beta - PHI) < 1e-9
+    assert abs(char_root(parse_cost_spec("telegraph")).beta - PHI) < 1e-9
     assert abs(char_root(finite_list([1.0, 1.0])).beta - 2.0) < 1e-12
     assert abs(char_root(finite_list([1.0, 3.0])).beta - 1.465571231876768) < 1e-9
-    assert abs(char_root(linear()).beta - 2.0) < 1e-12
-    assert abs(char_root(repeat(2)).beta - 3.0) < 1e-9
-    assert char_root(balanced_words()).beta == math.inf
+    assert abs(char_root(parse_cost_spec("linear")).beta - 2.0) < 1e-12
+    assert abs(char_root(parse_cost_spec("repeat:2")).beta - 3.0) < 1e-9
+    assert char_root(parse_cost_spec("balanced")).beta == math.inf
 
 
 def test_beta_matches_direct_supremum():
@@ -347,7 +353,7 @@ def test_beta_custom_repeat_profile():
 
 
 def test_beta_unbounded_profiles_are_infinite():
-    assert char_root(fibonacci()).beta == math.inf
+    assert char_root(parse_cost_spec("fib")).beta == math.inf
 
 
 def test_beta_at_least_one():
@@ -361,10 +367,10 @@ def test_beta_at_least_one():
 # ---------------------------------------------------------------------------
 
 def test_d_profile_families():
-    assert linear().d_profile(5) == (1, 1, 1, 1, 1)
-    assert repeat(4).d_profile(3) == (4, 4, 4)
-    assert fibonacci().d_profile(7) == (1, 1, 2, 3, 5, 8, 13)
-    assert balanced_words().d_profile(8) == (0, 2, 0, 2, 0, 4, 0, 10)
+    assert parse_cost_spec("linear").d_profile(5) == (1, 1, 1, 1, 1)
+    assert parse_cost_spec("repeat:4").d_profile(3) == (4, 4, 4)
+    assert parse_cost_spec("fib").d_profile(7) == (1, 1, 2, 3, 5, 8, 13)
+    assert parse_cost_spec("balanced").d_profile(8) == (0, 2, 0, 2, 0, 4, 0, 10)
 
 
 def test_d_profile_finite_lists():
@@ -445,17 +451,17 @@ def test_custom_profile_char_sum_matches_truncation():
 # ---------------------------------------------------------------------------
 
 def test_tail_sum_linear():
-    spec = linear()
+    spec = parse_cost_spec("linear")
     root = char_root(spec)
     # sum_j j * 2^(-j) = 2
     assert abs(spec.weighted_sum(root.value) - 2.0) < 1e-12
     z = 0.3
     direct = math.fsum(4 * j * z ** j for j in range(1, 400))
-    assert abs(repeat(4).family.weighted_sum_z(z) - direct) < 1e-12
+    assert abs(parse_cost_spec("repeat:4").family.weighted_sum_z(z) - direct) < 1e-12
 
 
 def test_tail_sum_fibonacci_total():
-    spec = fibonacci()
+    spec = parse_cost_spec("fib")
     root = char_root(spec)
     assert abs(spec.weighted_sum(root.value) - 2.0 * math.sqrt(2.0)) < 1e-9
 
@@ -463,8 +469,9 @@ def test_tail_sum_fibonacci_total():
 def test_tail_sum_matches_direct_summation():
     """Each closed-form z*S'(z), and its tail past a level, matches
     sum_{j > above} j*d_j*z^j summed term by term."""
-    for spec, radius in ((fibonacci(), 1.0 / PHI), (balanced_words(), 0.5),
-                         (repeat(2), 1.0),
+    for spec, radius in ((parse_cost_spec("fib"), 1.0 / PHI),
+                         (parse_cost_spec("balanced"), 0.5),
+                         (parse_cost_spec("repeat:2"), 1.0),
                          (custom_profile([2, 0, 1], tail="repeat"), 1.0)):
         d = spec.d_profile(600)
         for k in range(1, 31):
@@ -495,11 +502,12 @@ def test_tail_sum_finite_specs():
 
 
 def test_tail_sum_divergent_at_root():
-    spec = balanced_words()
+    spec = parse_cost_spec("balanced")
     root = char_root(spec)
     assert spec.weighted_sum(root.value) == math.inf
     assert not root.tail_convergent
-    for spec, radius in ((fibonacci(), 1.0 / PHI), (repeat(3), 1.0),
+    for spec, radius in ((parse_cost_spec("fib"), 1.0 / PHI),
+                         (parse_cost_spec("repeat:3"), 1.0),
                          (custom_profile([1, 1], tail="repeat"), 1.0)):
         assert spec.family.weighted_sum_z(1.01 * radius) == math.inf
 
@@ -517,14 +525,22 @@ def test_parse_finite_and_shorthands():
 
 
 def test_parse_profile_families():
-    lin = parse_cost_spec("linear")
-    assert (lin.label, lin.d_profile(4)) == ("linear", (1, 1, 1, 1))
+    for text in ("linear", " Linear "):
+        lin = parse_cost_spec(text)
+        assert (lin.label, lin.d_profile(4)) == ("linear", (1, 1, 1, 1))
+        assert char_root(lin).value == 1.0
     rep = parse_cost_spec("repeat:3").family
     assert (rep.prefix, rep.tail_d) == ((), 3)
+    rep = parse_cost_spec("REPEAT: 2.0")
+    assert (rep.label, rep.family.prefix, rep.family.tail_d) == ("repeat:2", (), 2)
+    tel = parse_cost_spec("telegraph")
+    assert (tel.label, tel.costs) == ("telegraph", (1.0, 2.0))
     fib = parse_cost_spec("fib")
     assert (fib.label, fib.d_profile(6)) == ("fib", (1, 1, 2, 3, 5, 8))
+    assert type(fib.family) is FibonacciFamily
     bal = parse_cost_spec("balanced")
     assert (bal.label, bal.d_profile(8)) == ("balanced", (0, 2, 0, 2, 0, 4, 0, 10))
+    assert type(bal.family) is BalancedWordsFamily
     prof = parse_cost_spec("profile:1,0,2;tail=repeat")
     assert prof.family.prefix == (1, 0, 2)
     assert prof.family.tail_d == 2
@@ -553,6 +569,10 @@ def test_parse_errors():
     ]
     for text in bad:
         with pytest.raises(CostSpecError):
+            parse_cost_spec(text)
+    # repeat:0 would also fail later, in CustomProfileFamily, with another message.
+    for text in ("repeat:0", "repeat:-3"):
+        with pytest.raises(CostSpecError, match="repeat multiplicity"):
             parse_cost_spec(text)
 
 

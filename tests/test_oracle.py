@@ -18,7 +18,6 @@ from varncode import (
     entropy,
     exact_opt,
     finite_list,
-    linear,
     oracle,
     parse_cost_spec,
     prepare,
@@ -213,7 +212,7 @@ def test_size_limits():
     with pytest.raises(OracleTooLargeError):
         exact_opt(prepare([0.5, 0.5]), parse_cost_spec("finite:1,1,1,1,1"))
     with pytest.raises(OracleTooLargeError):
-        exact_opt(prepare([0.5, 0.5]), linear())
+        exact_opt(prepare([0.5, 0.5]), parse_cost_spec("linear"))
 
 
 def test_cap_semantics():

@@ -36,7 +36,6 @@ from varncode import (
     char_root,
     coder,
     finite_list,
-    linear,
     parse_cost_spec,
     prepare,
     report,
@@ -470,4 +469,4 @@ def test_repeat_is_bit_identical_to_the_repeat_family(d):
 
 
 def test_linear_is_bit_identical_to_the_repeat_family():
-    _assert_same_as_the_repeat_family(linear(), 1)
+    _assert_same_as_the_repeat_family(parse_cost_spec("linear"), 1)

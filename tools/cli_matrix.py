@@ -48,6 +48,7 @@ PARSE_ERRORS = (
     ("code", "--costs", "linear", "--inline", "0.5,x"),
     ("code", "--costs", "linear", "--inline", "0.5,0.4"),
     ("bounds", "--costs", "fib", "--gen", "uniform:5", "--epsilon", "0"),
+    ("bounds", "--costs", "balanced", "--gen", "uniform:5", "--epsilon", "0"),
     ("compare", "--costs", "finite:1,1,1,1,1", "--gen", "uniform:3"),
     ("oracle", "--costs", "finite:1,2", "--inline", "0.5,0.5", "--cap", "0.5"),
     # Non-finite numbers, and an rll span past its letter limit.
@@ -58,7 +59,13 @@ PARSE_ERRORS = (
     ("root", "--costs", "rll:1,1000000"),
     # A non-integer rll bound.
     ("root", "--costs", "rll:1.5,3.9"),
+    # A repeat multiplicity below 1.
+    ("root", "--costs", "repeat:0"),
+    ("root", "--costs", "repeat:-3"),
 )
+# Named alphabets spelled with other case, spaces and a float multiplicity:
+# each prints its canonical label.
+SPELLINGS = (" Linear ", "REPEAT: 2.0", "Telegraph")
 # Roots near both ends of what a spec can reach: the largest profile coefficient's,
 # and two far below 1, at 2.9e-9 and 9.9e-298, that only a relative stop
 # resolves; and a repeating profile whose weighted sum nears the float maximum.
@@ -96,6 +103,8 @@ def cases():
                 for eps in EPSILONS[:3]:
                     yield ("compare",) + costs + inp + fmt + eps
     yield from PARSE_ERRORS
+    for spec in SPELLINGS:
+        yield ("root", "--costs", spec, "--format", "json")
     for spec in EXTREME_ROOTS:
         for fmt in FORMATS:
             yield ("root", "--costs", spec) + fmt
