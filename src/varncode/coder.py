@@ -19,9 +19,9 @@ The per-block rule is one kernel, `_split`.  A level holding fewer than
 blocks at once in numpy, with the same floats and so the same nodes.  The
 scalar path exists because numpy's per-call overhead dominates small levels:
 an n <= 10 build takes a median of 36 us through it and 650 us through numpy.
-Zero-width blocks split in closed form, and a level left with nothing else
-finishes their chains in one step.  `split_trace` reruns `_split` over a
-finished tree's internal nodes to report each split's bins and shifts.
+A level whose blocks all have zero width finishes their chains in closed
+form, in one step.  `split_trace` reruns `_split` over a finished tree's
+internal nodes to report each split's bins and shifts.
 """
 
 from __future__ import annotations
@@ -471,24 +471,20 @@ class _Walk:
         Round by round, each unfinished block takes its next batch of
         letters: the bin ends, one searchsorted for the last midpoint J_m in
         each bin, and the left shift j_m = max(J_m, j_(m-1) + 1) as a running
-        maximum of J_m - m along the batch.  Zero-width blocks split in
-        closed form.
+        maximum of J_m - m along the batch.  A level of zero-width blocks
+        alone finishes in closed form.
         """
         pin, table, t = self.pin, self.table, self.t
         P = pin.prefix
         L = P[l]
         w = P[r + 1] - L
-        zero = w == 0.0
-        if zero.all():
+        if not w.any():
             return self.chains(l, r, v, wc)
-        zrow = np.flatnonzero(zero)
-        row, m, a, b, kids = _zero_width_split(l[zrow], r[zrow], t)
-        rows, letters, firsts, lasts = [zrow[row]], [m], [a], [b]
+        rows, letters, firsts, lasts = [], [], [], []
         count = np.zeros(len(l), dtype=np.int64)  # children per block
-        count[zrow] = kids
         jprev = l - 1  # each block's last slot already given to a letter
-        stole = zero.copy()  # a zero-width split is a run of left shifts
-        active = np.flatnonzero(~zero)
+        stole = np.zeros(len(l), dtype=bool)
+        active = np.arange(len(l))
         m0, K = 0, _FIRST_BATCH
         while active.size:
             ra = r[active]
@@ -536,7 +532,7 @@ class _Walk:
             b = np.concatenate((b, r[shifted]))
         # A block's letters are 1..count: place each child by its letter.  One
         # round over every block, unshifted, already left them in that order.
-        if len(rows) > 2 or zrow.size or shifted.size:
+        if len(rows) > 1 or shifted.size:
             at = (np.cumsum(count) - count)[row] + m - 1
             for x in (row, m, a, b):
                 x[at] = x.copy()

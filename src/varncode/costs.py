@@ -376,21 +376,11 @@ class CostSpec:
 
     @property
     def is_normalized(self) -> bool:
+        """The cheapest letter costs 1, within 1e-12.  Integer-cost profiles
+        are in canonical units, whatever their cheapest cost."""
         if self.costs is None:
             return True
         return abs(self.costs[0] - 1.0) <= 1e-12
-
-    def normalize(self) -> "CostSpec":
-        """Rescale a finite list so the cheapest letter costs exactly 1.
-
-        Integer-cost profiles are already in canonical units and pass through
-        unchanged (their cheapest letter may legitimately cost more than 1).
-        """
-        if self.costs is None or self.is_normalized:
-            return self
-        c1 = self.costs[0]
-        scaled = tuple(c / c1 for c in self.costs)
-        return CostSpec(costs=scaled, family=None, label=self.label)
 
 
 def _cost_level(c: float) -> int:
@@ -401,11 +391,15 @@ def _cost_level(c: float) -> int:
 # -- constructors -------------------------------------------------------
 
 def finite_list(costs, label="") -> CostSpec:
-    """Finite alphabet from an iterable of positive costs (sorted on entry)."""
+    """Finite alphabet from an iterable of positive costs, sorted and then
+    rescaled so the cheapest letter costs 1; the label keeps the given costs."""
     tup = tuple(sorted(float(c) for c in costs))
     if not label:
         label = "finite:" + ",".join(f"{c:g}" for c in tup)
-    return CostSpec(costs=tup, family=None, label=label)
+    spec = CostSpec(costs=tup, label=label)
+    if spec.is_normalized:
+        return spec
+    return CostSpec(costs=tuple(c / tup[0] for c in tup), label=label)
 
 
 def custom_profile(prefix, tail="zero", label="") -> CostSpec:
@@ -437,9 +431,10 @@ def parse_cost_spec(text: str) -> CostSpec:
     """Parse the cost DSL used by the CLI.
 
     Grammar:
-        finite:c1,c2,...      explicit costs (normalized so min cost = 1)
-        rll:a,b               costs a, a+1, ..., b, then normalized; at most
-                              100 000 letters (_RLL_MAX_LETTERS)
+        finite:c1,c2,...      explicit costs, rescaled by finite_list so
+                              the cheapest costs 1
+        rll:a,b               costs a, a+1, ..., b, rescaled the same way; at
+                              most 100 000 letters (_RLL_MAX_LETTERS)
         telegraph             shorthand for finite:1,2
         linear                one letter of each integer cost
         repeat:d              d letters of each integer cost
@@ -454,12 +449,7 @@ def parse_cost_spec(text: str) -> CostSpec:
     head = head.strip().lower()
 
     if head == "finite":
-        values = _parse_floats(rest, "finite")
-        if len(values) < 2:
-            raise CostSpecError("finite spec needs at least 2 costs")
-        if any(v <= 0 for v in values):
-            raise CostSpecError("finite costs must be positive")
-        return finite_list(values, label=s).normalize()
+        return finite_list(_parse_floats(rest, "finite"), label=s)
 
     if head == "rll":
         parts = _parse_floats(rest, "rll")
@@ -470,7 +460,7 @@ def parse_cost_spec(text: str) -> CostSpec:
             raise CostSpecError("rll needs 1 <= a < b")
         if b - a + 1 > _RLL_MAX_LETTERS:
             raise CostSpecError(f"rll takes at most {_RLL_MAX_LETTERS} letters")
-        return finite_list(range(a, b + 1), label=s).normalize()
+        return finite_list(range(a, b + 1), label=s)
 
     if head in _NAMED_SPECS:
         if sep:
@@ -545,7 +535,8 @@ def char_root(spec: CostSpec) -> CharRoot:
     """Solve 1 = sum_i 2^(-c*c_i) for c > 0: the built-in profile families
     have exact algebraic roots, and `solve_root` finds the others."""
     if not spec.is_normalized:
-        raise CostSpecError("normalize the spec first (cheapest letter must cost 1)")
+        raise CostSpecError("cheapest letter must cost 1: build finite lists "
+                            "with finite_list or the cost DSL")
 
     closed = spec.family.closed_root() if spec.family is not None else None
     value = solve_root(spec) if closed is None else closed

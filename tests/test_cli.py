@@ -77,8 +77,10 @@ def test_parse_gen():
     assert parse_gen("zipf:1.5,9", 0).shape == (9,)
     assert parse_gen("geom:0.8,6", 0).shape == (6,)
     assert parse_gen("dyadic:4", 0).shape == (4,)
+    assert parse_gen("dyadic:1", 0).tolist() == [1.0]
     from varncode import ProbInputError
-    for bad in ("uniform", "zipf:9", "geom:0.5", "wat:3", "uniform:x"):
+    for bad in ("uniform", "zipf:9", "geom:0.5", "wat:3", "uniform:x", "uniform:0",
+                "geom:1.5,6", "geom:0,6"):
         with pytest.raises(ProbInputError):
             parse_gen(bad, 0)
 
@@ -420,6 +422,13 @@ def test_exit_parse_errors(capsys, tmp_path):
                        "--inline", "0.5,0.2")
     assert code == EXIT_PARSE
     assert "normalize" in err
+
+    code, _, err = run(capsys, "bench", "--costs", "linear", "--dist", "bogus",
+                       "--sizes", "10")
+    assert code == EXIT_PARSE
+
+    code, _, err = run(capsys, "code", "--costs", "linear", "--inline", "0.5,x")
+    assert code == EXIT_PARSE
 
 
 # json.loads recurses once per nested array: 3000 levels pass its limit.

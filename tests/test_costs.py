@@ -11,6 +11,7 @@ from varncode import (
     build_code,
     char_root,
     custom_profile,
+    exact_opt,
     finite_list,
     parse_cost_spec,
     prepare,
@@ -201,14 +202,17 @@ def test_second_cost_gap_reads_the_levels_once(spec_text):
 
 
 def test_normalize_rescales_finite_lists():
+    """finite_list gives costs in units of the cheapest letter, and its label
+    keeps the costs as given."""
     spec = finite_list([2.0, 4.0, 7.0])
-    assert not spec.is_normalized
-    norm = spec.normalize()
-    assert norm.costs == (1.0, 2.0, 3.5)
-    assert norm.is_normalized
-    assert norm.normalize() is norm
-    assert parse_cost_spec("linear").normalize() is not None  # profiles pass through
-    assert parse_cost_spec("repeat:2").normalize().kind == "IntegerProfile"
+    assert spec.costs == (1.0, 2.0, 3.5)
+    assert spec.label == "finite:2,4,7"
+    assert spec.is_normalized
+    # Within 1e-12 of 1, the costs are kept as given.
+    assert finite_list([1.0000000000001, 2.0]).costs == (1.0000000000001, 2.0)
+    # Profiles are in canonical units, whatever their cheapest cost.
+    assert parse_cost_spec("profile:0,2").is_normalized
+    assert not CostSpec(costs=(2.0, 3.0)).is_normalized
 
 
 def test_char_sum_decreases():
@@ -272,9 +276,14 @@ def test_root_matches_bisection_on_profile_prefixes():
 
 
 def test_root_requires_normalized_spec():
-    with pytest.raises(CostSpecError):
-        char_root(finite_list([2.0, 3.0]))
-    assert char_root(finite_list([2.0, 3.0]).normalize()).value > 0.0
+    with pytest.raises(CostSpecError, match="finite_list"):
+        char_root(CostSpec(costs=(2.0, 3.0)))
+    # The constructor and the DSL give one alphabet, one root and one optimum.
+    spec, dsl = finite_list([2.0, 3.0]), parse_cost_spec("finite:2,3")
+    assert char_root(spec) == char_root(dsl)
+    pin = prepare([0.5, 0.3, 0.2])
+    assert exact_opt(pin, spec) == exact_opt(pin, dsl)
+    assert exact_opt(pin, spec).opt_cost == pytest.approx(1.85, abs=1e-12)
 
 
 def test_root_brackets_the_largest_profile_coefficient():
@@ -553,6 +562,8 @@ def test_parse_errors():
         "finite:1",
         "finite:1,oops",
         "finite:0,1",
+        "finite:-1,2",
+        "finite:1e-300,1e10",  # rescaled, the ratio passes the float range
         "rll:3",
         "rll:5,2",
         "repeat:x",

@@ -7,7 +7,8 @@ count the same bin ends; split_trace describes
 exactly the tree it was derived from; every bound row the report applies
 holds, and the cost and entropy decompositions add up; the exact oracle finds
 what its unpruned search finds; the characteristic root is within 8 unit
-roundoffs of its 60-digit value for cost ratios up to 1e300; approx_bound
+roundoffs of its 60-digit value for cost ratios up to 1e300; finite_list
+rescales a cost list to the bits of its DSL spelling; approx_bound
 stops at the first cost level whose weighted tail fits; the CLI maps any JSON
 array in a --probs file to a documented exit code; any cost DSL string roots
 or exits as a parse error; prepare gives the bytes of its stable-sort
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 
 from varncode import (
     BOUND_REFERENCE,
+    CostSpecError,
     VarncodeError,
     approx_bound,
     build_code,
@@ -213,8 +215,9 @@ def test_numpy_and_scalar_split_paths_build_the_same_tree(spec_text, weights):
        weights=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=300))
 def test_both_split_paths_compute_one_bin_end_per_two_letter_split(spec_text, weights):
     """Under t = 2 a split computes letter 1's bin end only: letter 2 takes
-    the rest.  Every mass is positive, so no block has zero width (those
-    split in closed form on the numpy path)."""
+    the rest.  Every mass is positive, so no level is made only of
+    zero-width blocks (those chains finish in closed form on the numpy path,
+    with no bin ends)."""
     vector = _build_on_one_path(2, spec_text, weights).stats
     scalar = _build_on_one_path(10 ** 9, spec_text, weights).stats
     assert vector.bins_evaluated == scalar.bins_evaluated == scalar.internal
@@ -373,6 +376,25 @@ def test_root_is_within_8_unit_roundoffs(costs):
     g = excess_60_digits(spec, mpmath)
     u = mpmath.mpf(2) ** -53
     assert g(c * (1 - 8 * u)) >= 0 >= g(c * (1 + 8 * u))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(costs=wide_cost_lists, scale=st.floats(1e-3, 1e3))
+# Rescaled, these costs' ratio passes the float range: both refuse them.
+@example(costs=[1e-300, 1e10], scale=1.0)
+def test_finite_list_rescales_as_the_dsl_does(costs, scale):
+    """finite_list and the DSL spelling of the same costs both refuse them, or
+    both give the same bits, with the cheapest letter at 1."""
+    costs = [c * scale for c in costs]
+    text = "finite:" + ",".join(map(repr, costs))
+    try:
+        spec = finite_list(costs)
+    except CostSpecError:
+        with pytest.raises(CostSpecError):
+            parse_cost_spec(text)
+        return
+    assert spec.costs == parse_cost_spec(text).costs
+    assert spec.is_normalized
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="one symbol: "

@@ -62,10 +62,17 @@ PARSE_ERRORS = (
     # A repeat multiplicity below 1.
     ("root", "--costs", "repeat:0"),
     ("root", "--costs", "repeat:-3"),
+    # Finite costs whose ratio, once rescaled, passes the float range.
+    ("root", "--costs", "finite:1e-300,1e10"),
 )
 # Named alphabets spelled with other case, spaces and a float multiplicity:
 # each prints its canonical label.
 SPELLINGS = (" Linear ", "REPEAT: 2.0", "Telegraph")
+# Finite lists rescaled so the cheapest letter costs 1 (`rll:2,5` is one of
+# SPECS), and one within 1e-12 of 1 that is kept as given.
+RESCALED = ("finite:2,3", "finite:2,4,7", "finite:1.0000000000001,2")
+RESCALED_ORACLE = ("oracle", "--costs", "finite:2,3", "--inline", "0.5,0.3,0.2",
+                   "--format", "json")
 # Roots near both ends of what a spec can reach: the largest profile coefficient's,
 # and two far below 1, at 2.9e-9 and 9.9e-298, that only a relative stop
 # resolves; and a repeating profile whose weighted sum nears the float maximum.
@@ -103,8 +110,9 @@ def cases():
                 for eps in EPSILONS[:3]:
                     yield ("compare",) + costs + inp + fmt + eps
     yield from PARSE_ERRORS
-    for spec in SPELLINGS:
+    for spec in SPELLINGS + RESCALED:
         yield ("root", "--costs", spec, "--format", "json")
+    yield RESCALED_ORACLE
     for spec in EXTREME_ROOTS:
         for fmt in FORMATS:
             yield ("root", "--costs", spec) + fmt
