@@ -10,7 +10,7 @@ sense for which alphabet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -144,14 +144,6 @@ class BoundValue:
     applicable: bool
     reason: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "applicable": self.applicable,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -180,14 +172,7 @@ class AnalysisReport:
         return min(vals) if vals else None
 
     def to_dict(self) -> dict:
-        return {
-            "cost": self.cost,
-            "entropy": self.entropy,
-            "lower_bound": self.lower_bound,
-            "redundancy": self.redundancy,
-            "nr": self.nr,
-            "bounds": [b.to_dict() for b in self.bounds],
-        }
+        return {k: v for k, v in asdict(self).items() if k != "approx"}
 
 
 def report(tree: CodeTree, epsilon: float | None = None) -> AnalysisReport:

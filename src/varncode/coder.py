@@ -544,10 +544,11 @@ class _Walk:
     def chains(self, l, r, v, wc):
         """Finish a level whose blocks all have zero width, in closed form.
 
-        Under a finite alphabet the last letter t takes all but t - 1 slots
-        of such a block, and that child splits the same way one level down:
-        a chain of internal nodes.  Nodes are numbered in level order across
-        all the chains.
+        Every bin end of such a block is its left end, so each letter takes
+        one slot, letter i the block's i-th, except that a finite alphabet's
+        last letter t takes all but t - 1 slots, and that child splits the
+        same way one level down: a chain of internal nodes.  Nodes are
+        numbered in level order across all the chains.
         """
         size = r - l + 1
         t = self.t or int(size.max()) + 1  # on an infinite alphabet nothing chains
@@ -567,30 +568,21 @@ class _Walk:
         where = np.empty(total, dtype=np.int64)
         where[order] = np.arange(total)
         chain, step, acc = chain[order], step[order], acc[order]
-        p, m, a, b, kids = _zero_width_split(l[chain] + step * (t - 1), r[chain], t)
+        lo, hi = l[chain] + step * (t - 1), r[chain]  # each chain node's block
+        kids = np.minimum(hi - lo + 1, t)
+        before = np.cumsum(kids) - kids  # children of the chain nodes before each
+        p = np.repeat(np.arange(total), kids)
+        m = np.arange(len(p)) - before[p] + 1
+        a = lo[p] + m - 1
+        b = np.where(m == t, hi[p], a)
         # A chain node below the first is its parent's letter-t child.
-        up = (np.cumsum(kids) - kids)[where[np.maximum(start[chain] + step - 1, 0)]]
+        up = before[where[np.maximum(start[chain] + step - 1, 0)]]
         node = np.where(step == 0, v[chain],
                         self.base + len(self.buffers[0]) + up + t - 1)
         self.emit(node[p], m, a, b, acc[p] + lcosts[m])
         self.depth += int(depth.max()) - 1
         self.left_shifts += total
         return l[:0], r[:0], v[:0], wc[:0]
-
-
-def _zero_width_split(lo, hi, t):
-    """Split zero-width blocks [lo, hi] in closed form.
-
-    Every bin end of such a block is L, so each letter takes one slot, letter
-    i slot lo + i - 1, except that a finite alphabet's last letter t takes
-    the rest.  Returns each child's block index, letter and slot range, and
-    each block's number of children.
-    """
-    kids = np.minimum(hi - lo + 1, t) if t else hi - lo + 1
-    p = np.repeat(np.arange(len(lo)), kids)
-    m = np.arange(len(p)) - (np.cumsum(kids) - kids)[p] + 1
-    a = lo[p] + m - 1
-    return p, m, a, np.where(m == t, hi[p], a), kids
 
 
 def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot) -> CodeTree:

@@ -233,7 +233,10 @@ class CostSpec:
     """A letter-cost alphabet: explicit cost list or integer-cost profile.
 
     Exactly one of `costs` (nondecreasing positive floats) and `family` is set.
-    `label` is a short display form, normally the DSL string that produced it.
+    A cost list is kept in units of its cheapest letter: unless c_1 is within
+    1e-12 of 1, every cost is divided by c_1, which scales the root by c_1 and
+    changes no c*c_i.  `label` is a short display form, normally the DSL
+    string that produced it.
     """
 
     costs: tuple[float, ...] | None = None
@@ -250,6 +253,12 @@ class CostSpec:
                 raise CostSpecError("letter costs must be positive and finite")
             if any(a > b for a, b in zip(self.costs, self.costs[1:])):
                 raise CostSpecError("letter costs must be nondecreasing")
+            c1 = self.costs[0]
+            if abs(c1 - 1.0) > 1e-12:
+                scaled = tuple(c / c1 for c in self.costs)
+                if not math.isfinite(scaled[-1]):
+                    raise CostSpecError("letter costs must be positive and finite")
+                object.__setattr__(self, "costs", scaled)
 
     # -- basic shape ----------------------------------------------------
 
@@ -372,16 +381,6 @@ class CostSpec:
         # Counted per level: d_profile would be as long as the largest cost.
         return float(max(Counter(map(_cost_level, self.costs)).values()))
 
-    # -- normalization --------------------------------------------------
-
-    @property
-    def is_normalized(self) -> bool:
-        """The cheapest letter costs 1, within 1e-12.  Integer-cost profiles
-        are in canonical units, whatever their cheapest cost."""
-        if self.costs is None:
-            return True
-        return abs(self.costs[0] - 1.0) <= 1e-12
-
 
 def _cost_level(c: float) -> int:
     """The level j with c in [j, j+1), snapping near-integer costs."""
@@ -391,22 +390,24 @@ def _cost_level(c: float) -> int:
 # -- constructors -------------------------------------------------------
 
 def finite_list(costs, label="") -> CostSpec:
-    """Finite alphabet from an iterable of positive costs, sorted and then
-    rescaled so the cheapest letter costs 1; the label keeps the given costs."""
+    """Finite alphabet from an iterable of positive costs, sorted; `CostSpec`
+    rescales them, and the label keeps the given costs, each in its shortest
+    round-trip form, so it parses back to the same spec."""
     tup = tuple(sorted(float(c) for c in costs))
     if not label:
-        label = "finite:" + ",".join(f"{c:g}" for c in tup)
-    spec = CostSpec(costs=tup, label=label)
-    if spec.is_normalized:
-        return spec
-    return CostSpec(costs=tuple(c / tup[0] for c in tup), label=label)
+        label = "finite:" + ",".join(repr(c).removesuffix(".0") for c in tup)
+    return CostSpec(costs=tup, label=label)
 
 
 def custom_profile(prefix, tail="zero", label="") -> CostSpec:
-    """d_1..d_J, then nothing (tail "zero") or d_J at every level (tail "repeat")."""
+    """d_1..d_J, then nothing (tail "zero") or d_J at every level (tail "repeat").
+
+    Each d_j must be an integer >= 0, as an int or a float."""
+    prefix = tuple(prefix)
+    # d % 1 rather than int(d), which raises on inf; inf % 1 is nan.
+    if not prefix or not all(d >= 0 and d % 1 == 0 for d in prefix):
+        raise CostSpecError("profile coefficients must be integers >= 0")
     prefix = tuple(int(d) for d in prefix)
-    if not prefix or min(prefix) < 0:
-        raise CostSpecError("profile prefix must be nonempty with d_j >= 0")
     if tail not in ("zero", "repeat"):
         raise CostSpecError(f"unknown profile tail rule {tail!r}")
     fam = CustomProfileFamily(prefix, prefix[-1] if tail == "repeat" else 0)
@@ -431,7 +432,7 @@ def parse_cost_spec(text: str) -> CostSpec:
     """Parse the cost DSL used by the CLI.
 
     Grammar:
-        finite:c1,c2,...      explicit costs, rescaled by finite_list so
+        finite:c1,c2,...      explicit costs, rescaled by CostSpec so
                               the cheapest costs 1
         rll:a,b               costs a, a+1, ..., b, rescaled the same way; at
                               most 100 000 letters (_RLL_MAX_LETTERS)
@@ -481,8 +482,6 @@ def parse_cost_spec(text: str) -> CostSpec:
         if not pieces:
             raise CostSpecError("profile needs coefficients")
         coeffs = _parse_floats(pieces[0], "profile")
-        if any(v != int(v) or v < 0 for v in coeffs):
-            raise CostSpecError("profile coefficients must be integers >= 0")
         tail = "zero"
         for opt in pieces[1:]:
             key, _, val = opt.partition("=")
@@ -490,7 +489,7 @@ def parse_cost_spec(text: str) -> CostSpec:
             if key != "tail":
                 raise CostSpecError(f"unknown profile option {key!r}")
             tail = val.strip().lower()
-        return custom_profile([int(v) for v in coeffs], tail=tail, label=s)
+        return custom_profile(coeffs, tail=tail, label=s)
 
     raise CostSpecError(f"unknown cost spec {text!r}")
 
@@ -533,11 +532,8 @@ class CharRoot:
 
 def char_root(spec: CostSpec) -> CharRoot:
     """Solve 1 = sum_i 2^(-c*c_i) for c > 0: the built-in profile families
-    have exact algebraic roots, and `solve_root` finds the others."""
-    if not spec.is_normalized:
-        raise CostSpecError("cheapest letter must cost 1: build finite lists "
-                            "with finite_list or the cost DSL")
-
+    have exact algebraic roots, and `solve_root` finds the others.  A finite
+    list is in units of its cheapest letter, as every `CostSpec` holds it."""
     closed = spec.family.closed_root() if spec.family is not None else None
     value = solve_root(spec) if closed is None else closed
     tolerance = 4.0 * math.ulp(value) if closed is None else 1e-15
@@ -552,8 +548,8 @@ def char_root(spec: CostSpec) -> CharRoot:
 
 
 def solve_root(spec: CostSpec) -> float:
-    """The root of S(c) = 1 for a finite list, normalized or not, or a custom
-    profile: Newton on the convex, decreasing phi(c) = log2 sum_{i>1} 2^(-c c_i)
+    """The root of S(c) = 1 for a finite list or a custom profile: Newton on
+    the convex, decreasing phi(c) = log2 sum_{i>1} 2^(-c c_i)
     - log2(1 - 2^(-c c_1)).  The cheapest term is an expm1, and the others are
     summed scaled by 2^(c c_2), a level's letters as one term and a repeating
     tail in closed form, so phi stays in range for any cost ratio or count

@@ -53,7 +53,7 @@ which is the order the depth-first search meets first, so the optimum and its
 witness words are the ones the unpruned search finds.  The rule holds only if
 no letter cost is absorbed in float, so it is on only when the cheapest letter
 exceeds ulp(n * c_t), an upper bound on the ulp of every word cost searched:
-finite:1e-300,1 normalises to costs 1 and 1e300, and 1e300 + 1 == 1e300.
+finite:1e-300,1 is rescaled to costs 1 and 1e300, and 1e300 + 1 == 1e300.
 """
 
 from __future__ import annotations
@@ -98,13 +98,14 @@ class OracleResult:
     opt_words: tuple[tuple[int, ...], ...]
 
 
-def _kraft_exponent(costs: list[float]) -> float | None:
+def _kraft_exponent(spec: CostSpec, costs: list[float]) -> float | None:
     """c' at or above the characteristic root, S(c') <= 1 certified, or None:
-    c' steps up from `solve_root`'s root until S(c') - 1, its cheapest term as
-    expm1, is below minus a bound on its own rounding."""
+    c' steps up from `solve_root`'s root of `spec` until S(c') - 1 over its
+    letter costs `costs`, the cheapest term as expm1, is below minus a bound
+    on its own rounding."""
     t, c1, dearer, ln2 = len(costs), costs[0], costs[1:], math.log(2.0)
     try:
-        c = solve_root(CostSpec(costs=tuple(costs)))
+        c = solve_root(spec)
         for k in range(6, 66):  # up by 64 ulps of c, then by doubling steps
             c *= 1.0 + 2.0 ** (k - 53)
             head = math.expm1(-c * c1 * ln2)
@@ -195,7 +196,7 @@ def exact_opt(pinput: ProbInput, spec: CostSpec, cap: float | None = None) -> Or
     # The Kraft-entropy bound's terms for the q = probs[d:] still to place,
     # per count d of leaves placed, while Q > 0 (see the module docstring),
     # summed from the smallest probability up.
-    kraft, cp = [], _kraft_exponent(costs)
+    kraft, cp = [], _kraft_exponent(spec, costs)
     powers_of = [0.0] * t
     if cp is not None:
         powers_of = [2.0 ** (-cp * ci) for ci in costs]

@@ -202,17 +202,20 @@ def test_second_cost_gap_reads_the_levels_once(spec_text):
 
 
 def test_normalize_rescales_finite_lists():
-    """finite_list gives costs in units of the cheapest letter, and its label
-    keeps the costs as given."""
-    spec = finite_list([2.0, 4.0, 7.0])
-    assert spec.costs == (1.0, 2.0, 3.5)
-    assert spec.label == "finite:2,4,7"
-    assert spec.is_normalized
-    # Within 1e-12 of 1, the costs are kept as given.
-    assert finite_list([1.0000000000001, 2.0]).costs == (1.0000000000001, 2.0)
-    # Profiles are in canonical units, whatever their cheapest cost.
-    assert parse_cost_spec("profile:0,2").is_normalized
-    assert not CostSpec(costs=(2.0, 3.0)).is_normalized
+    """Every finite CostSpec is in units of its cheapest letter: built by
+    hand, by finite_list or by the DSL it is one spec, and costs within 1e-12
+    of 1 are kept as given."""
+    hand = CostSpec(costs=(2.0, 4.0, 7.0), label="finite:2,4,7")
+    assert hand.costs == (1.0, 2.0, 3.5)
+    assert hand == finite_list([7.0, 2.0, 4.0]) == parse_cost_spec("finite:2,4,7")
+    for costs in ((1.0000000000001, 2.0), (1.0 - 1e-13, 3.0)):
+        assert CostSpec(costs=costs).costs == costs
+        assert finite_list(costs).costs == costs
+    # Rescaled, these costs' ratio passes the float range.
+    with pytest.raises(CostSpecError):
+        CostSpec(costs=(1e-300, 1e10))
+    # Profiles keep their integer levels, whatever their cheapest cost.
+    assert parse_cost_spec("profile:0,2").letter_cost(1) == 2.0
 
 
 def test_char_sum_decreases():
@@ -276,14 +279,15 @@ def test_root_matches_bisection_on_profile_prefixes():
 
 
 def test_root_requires_normalized_spec():
-    with pytest.raises(CostSpecError, match="finite_list"):
-        char_root(CostSpec(costs=(2.0, 3.0)))
-    # The constructor and the DSL give one alphabet, one root and one optimum.
-    spec, dsl = finite_list([2.0, 3.0]), parse_cost_spec("finite:2,3")
-    assert char_root(spec) == char_root(dsl)
+    """char_root reads costs in units of the cheapest letter, and every
+    CostSpec holds them so: a hand-built (2, 3) is finite:2,3, with its root
+    and its exact optimum."""
+    hand, dsl = CostSpec(costs=(2.0, 3.0)), parse_cost_spec("finite:2,3")
+    assert hand.costs == dsl.costs == (1.0, 1.5)
+    assert char_root(hand) == char_root(dsl) == char_root(finite_list([2.0, 3.0]))
     pin = prepare([0.5, 0.3, 0.2])
-    assert exact_opt(pin, spec) == exact_opt(pin, dsl)
-    assert exact_opt(pin, spec).opt_cost == pytest.approx(1.85, abs=1e-12)
+    assert exact_opt(pin, hand) == exact_opt(pin, dsl)
+    assert exact_opt(pin, hand).opt_cost == pytest.approx(1.85, abs=1e-12)
 
 
 def test_root_brackets_the_largest_profile_coefficient():
@@ -419,6 +423,16 @@ def test_custom_profile_validation():
         custom_profile([0, 0], tail="repeat")
     with pytest.raises(CostSpecError):
         custom_profile([1, 2], tail="bounce")
+
+
+def test_custom_profile_takes_only_integer_counts():
+    """custom_profile and the DSL refuse the same counts, with one message."""
+    for counts in ([1.5, 1], [1, -2], [math.inf, 1], [math.nan, 1]):
+        with pytest.raises(CostSpecError, match="integers >= 0"):
+            custom_profile(counts)
+    with pytest.raises(CostSpecError, match="integers >= 0"):
+        parse_cost_spec("profile:1.5,1")
+    assert custom_profile([1.0, 2.0]).family.prefix == (1, 2)
 
 
 def test_profile_letter_count_past_the_float_range_is_a_spec_error():

@@ -424,7 +424,7 @@ def test_kraft_exponent_is_a_certified_root(spec_text):
     # Kraft-entropy bound a lower bound.
     mpmath = pytest.importorskip("mpmath")
     spec = parse_cost_spec(spec_text)
-    cp = oracle._kraft_exponent(_letter_costs(spec))
+    cp = oracle._kraft_exponent(spec, _letter_costs(spec))
     root, g = root_60_digits(spec, mpmath)
     assert mpmath.mpf(cp) >= root
     assert g(mpmath.mpf(cp)) <= 0
@@ -456,7 +456,7 @@ def test_search_without_a_certified_exponent(monkeypatch):
     cases = [(parse_cost_spec(s), prepare(rng.dirichlet([1.0] * 7)))
              for s in ("finite:1,2", "finite:1,1,5", "finite:1e-300,1")]
     bounded = [_outcome(exact_opt, pin, spec, None) for spec, pin in cases]
-    monkeypatch.setattr(oracle, "_kraft_exponent", lambda costs: None)
+    monkeypatch.setattr(oracle, "_kraft_exponent", lambda spec, costs: None)
     for (spec, pin), (got, nodes) in zip(cases, bounded):
         heap_only, more = _outcome(exact_opt, pin, spec, None)
         assert heap_only == got

@@ -7,8 +7,9 @@ count the same bin ends; split_trace describes
 exactly the tree it was derived from; every bound row the report applies
 holds, and the cost and entropy decompositions add up; the exact oracle finds
 what its unpruned search finds; the characteristic root is within 8 unit
-roundoffs of its 60-digit value for cost ratios up to 1e300; finite_list
-rescales a cost list to the bits of its DSL spelling; approx_bound
+roundoffs of its 60-digit value for cost ratios up to 1e300; a hand-built
+CostSpec and finite_list rescale a cost list to the bits of its DSL spelling,
+and finite_list's label is that spelling; approx_bound
 stops at the first cost level whose weighted tail fits; the CLI maps any JSON
 array in a --probs file to a documented exit code; any cost DSL string roots
 or exits as a parse error; prepare gives the bytes of its stable-sort
@@ -44,7 +45,7 @@ from varncode import (
     split_trace,
 )
 from varncode.cli import main
-from varncode.costs import LetterTable
+from varncode.costs import CostSpec, LetterTable
 
 from code_reference import (
     assert_same_prepared,
@@ -380,11 +381,12 @@ def test_root_is_within_8_unit_roundoffs(costs):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(costs=wide_cost_lists, scale=st.floats(1e-3, 1e3))
-# Rescaled, these costs' ratio passes the float range: both refuse them.
+# Rescaled, these costs' ratio passes the float range: all three refuse them.
 @example(costs=[1e-300, 1e10], scale=1.0)
 def test_finite_list_rescales_as_the_dsl_does(costs, scale):
-    """finite_list and the DSL spelling of the same costs both refuse them, or
-    both give the same bits, with the cheapest letter at 1."""
+    """A hand-built CostSpec, finite_list and the DSL spelling of the same
+    costs all refuse them, or all give the same bits, with the cheapest
+    letter at 1."""
     costs = [c * scale for c in costs]
     text = "finite:" + ",".join(map(repr, costs))
     try:
@@ -392,9 +394,25 @@ def test_finite_list_rescales_as_the_dsl_does(costs, scale):
     except CostSpecError:
         with pytest.raises(CostSpecError):
             parse_cost_spec(text)
+        with pytest.raises(CostSpecError):
+            CostSpec(costs=tuple(sorted(costs)))
         return
-    assert spec.costs == parse_cost_spec(text).costs
-    assert spec.is_normalized
+    hand = CostSpec(costs=tuple(sorted(costs)))
+    assert spec.costs == parse_cost_spec(text).costs == hand.costs
+    assert abs(spec.costs[0] - 1.0) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(costs=wide_cost_lists, scale=st.floats(1e-3, 1e3))
+@example(costs=[1.0, 1.2345678], scale=1.0)
+@example(costs=[3.0, 1.0000000000001], scale=1.0)
+def test_finite_list_label_parses_to_its_costs(costs, scale):
+    """The label finite_list writes for a cost list is its DSL string."""
+    try:
+        spec = finite_list([c * scale for c in costs])
+    except CostSpecError:
+        return
+    assert parse_cost_spec(spec.label).costs == spec.costs
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="one symbol: "

@@ -73,6 +73,10 @@ SPELLINGS = (" Linear ", "REPEAT: 2.0", "Telegraph")
 RESCALED = ("finite:2,3", "finite:2,4,7", "finite:1.0000000000001,2")
 RESCALED_ORACLE = ("oracle", "--costs", "finite:2,3", "--inline", "0.5,0.3,0.2",
                    "--format", "json")
+# Alphabets whose cheapest letter does not cost 1 in the oracle's own
+# units: profiles whose cheapest level is 3 and 2, and a finite list within
+# 1e-12 of 1 that is kept as given.
+ORACLE_UNITS = ("profile:0,0,1,1", "profile:0,3", "finite:1.0000000000001,2")
 # Roots near both ends of what a spec can reach: the largest profile coefficient's,
 # and two far below 1, at 2.9e-9 and 9.9e-298, that only a relative stop
 # resolves; and a repeating profile whose weighted sum nears the float maximum.
@@ -119,6 +123,9 @@ def cases():
     for spec in SPECS:
         for fmt in FORMATS:
             yield ("oracle", "--costs", spec) + ORACLE_INPUT + fmt
+    for spec in ORACLE_UNITS:
+        for command in ("oracle", "compare"):
+            yield (command, "--costs", spec) + ORACLE_INPUT + ("--format", "json")
     for fmt in FORMATS:
         yield HUGE_SCALE_COMPARE + fmt
     for spec in SPECS:
