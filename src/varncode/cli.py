@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -45,29 +46,30 @@ _WRITE_BLOCK = 4096
 
 def make_probs(dist: str, n: int, seed: int) -> np.ndarray:
     """Distribution family -> probability vector of length n."""
-    name, _, params = dist.partition(":")
+    name, colon, params = dist.partition(":")
     name = name.strip().lower()
     if n < 1:
         raise ProbInputError("need n >= 1")
-    if name == "uniform":
+    try:  # what follows a colon is a number, which only zipf and geom read
+        param = float(params) if colon else None
+    except ValueError:
+        raise ProbInputError(f"malformed distribution {dist!r}") from None
+    if name == "uniform" and param is None:
         rng = np.random.default_rng(seed)
         x = rng.random(n) + 1e-9
     elif name == "zipf":
-        s = float(params) if params else 1.0
+        s = 1.0 if param is None else param
         x = np.arange(1, n + 1, dtype=np.float64) ** (-s)
     elif name == "geom":
-        q = float(params) if params else 0.5
+        q = 0.5 if param is None else param
         if not 0.0 < q < 1.0:
             raise ProbInputError("geometric ratio must be in (0, 1)")
         x = q ** np.arange(n, dtype=np.float64)
-    elif name == "dyadic":
-        if n == 1:
-            x = np.array([1.0])
-        else:
-            x = np.exp2(-np.arange(1, n + 1, dtype=np.float64))
-            x[-1] = x[-2]
+    elif name == "dyadic" and param is None:  # 2^-1, ..., 2^-(n-1), 2^-(n-1)
+        x = np.exp2(-np.minimum(np.arange(1, n + 1), max(n - 1, 1)))
     else:
-        raise ProbInputError(f"unknown distribution {dist!r}")
+        raise ProbInputError(f"unknown distribution {dist!r}: expected "
+                             "uniform | dyadic | zipf[:S] | geom[:Q]")
     return x / x.sum()
 
 
@@ -205,10 +207,12 @@ def _build(args: argparse.Namespace):
 
 def cmd_code(args: argparse.Namespace) -> int:
     tree, rep = _build(args)
+    trace = args.trace and {part: {k: x.tolist() for k, x in cols.items()}
+                            for part, cols in split_trace(tree).items()}
     if args.fmt == "json":
         payload = {"root": root_dict(tree.spec, tree.root), "report": rep.to_dict()}
-        if args.trace:
-            payload["trace"] = split_trace(tree)
+        if trace:
+            payload["trace"] = trace
         rest = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         if args.tree:
             # "tree" sorts last; to_json writes any depth.
@@ -230,21 +234,20 @@ def cmd_code(args: argparse.Namespace) -> int:
         print(f"# entropy = {rep.entropy!r}")
         print(f"# lower_bound = {rep.lower_bound!r}")
         print(f"# redundancy = {rep.redundancy!r}  nr = {rep.nr!r}")
-        if args.trace:
-            for e in split_trace(tree):
-                flags = []
-                if e["left_shifted"]:
-                    flags.append("left-shift")
-                if e["right_shifted"]:
-                    flags.append(f"right-shift@{e['right_shift_index']}")
-                tags = (" [" + ", ".join(flags) + "]") if flags else ""
-                print(f"# split node {e['node']} slots {e['range'][0]}..{e['range'][1]}{tags}")
-                for b in e["bins"]:
-                    init = f"{b['initial'][0]}..{b['initial'][1]}" if b["initial"] else "-"
-                    print(
-                        f"#   bin {b['letter']}: [{b['lo']:.6g}, {b['hi']:.6g}) "
-                        f"initial {init} final {b['final'][0]}..{b['final'][1]}"
-                    )
+        if trace:  # a line per split, then one per bin
+            split = trace["split"]
+            bins = zip(*(trace["bin"][k] for k in ("letter", "lo", "hi", "initial_first",
+                                                   "initial_last", "final_first", "final_last")))
+            lines = []
+            for v, l, r, left, right, k in zip(*(split[k] for k in (
+                    "node", "first", "last", "left_shifted", "right_shifted", "bins"))):
+                tags = ", ".join(["left-shift"] * left + [f"right-shift@{r}"] * right)
+                lines.append(f"# split node {v} slots {l}..{r}" + (f" [{tags}]" if tags else ""))
+                for m, lo, hi, e, f, a, b in itertools.islice(bins, k):
+                    init = f"{e}..{f}" if f >= e else "-"
+                    lines.append(f"#   bin {m}: [{lo:.6g}, {hi:.6g}) initial {init} "
+                                 f"final {a}..{b}")
+            _write_joined(lines + [""], "\n")
     return EXIT_OK
 
 
@@ -483,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="1000,10000,100000,1000000",
                    help="comma-separated instance sizes")
     p.add_argument("--dist", default=["zipf:1.0"], nargs="+",
-                   help="distribution families: uniform | zipf:S | geom:Q | dyadic")
+                   help="distribution families: uniform | dyadic | zipf[:S] | geom[:Q]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=1)
 

@@ -20,8 +20,8 @@ blocks at once in numpy, with the same floats and so the same nodes.  The
 scalar path exists because numpy's per-call overhead dominates small levels:
 an n <= 10 build takes a median of 36 us through it and 650 us through numpy.
 A level whose blocks all have zero width finishes their chains in closed
-form, in one step.  `split_trace` reruns `_split` over a finished tree's
-internal nodes to report each split's bins and shifts.
+form, in one step.  `split_trace` reads each split's bins and shifts off the
+finished tree's stored arrays, as columns.
 """
 
 from __future__ import annotations
@@ -608,49 +608,42 @@ def build_code(pinput: ProbInput, spec: CostSpec, root: CharRoot) -> CodeTree:
                     (walk.depth, walk.left_shifts, walk.right_shifts, walk.bins))
 
 
-def split_trace(tree: CodeTree) -> list[dict]:
-    """Every split of a built tree, in node order (level order): the `trace`
-    records of `varncode code --trace --format json`.
+def split_trace(tree: CodeTree) -> dict[str, dict[str, np.ndarray]]:
+    """Every split of a built tree as numpy columns, read off the stored
+    arrays: the `trace` of `varncode code --trace`.
 
-    Per bin: its bounds [lo, hi), the slots whose midpoints fall inside
-    (`initial`, None if none) and the slots the letter received (`final`).
-    The kernel reruns on the tree's own LetterTable, so every bound is the
-    builder's float; the build created every letter a split reads.
+    `split` has a row per node over two or more slots, in node order: `node`,
+    its slots `first`..`last`, its interval [`interval_lo`, `interval_hi`),
+    `left_shifted`, `right_shifted` and `bins`, its child count.  `bin` has a
+    row per child of those, in node order: `letter`, the bounds [`lo`, `hi`)
+    on the tree's LetterTable, the slots whose midpoints fall inside
+    (`initial_first`..`initial_last`, none if last < first) and those the
+    letter received (`final_first`..`final_last`), and the mass of each.
     """
-    pin = tree.input
-    P, s = pin.prefix.tolist(), pin.mid.tolist()
-    table = tree._table
-
-    records = []
-    for v, (l, r) in enumerate(zip(tree._first.tolist(), tree._last.tolist())):
-        if l == r:  # a leaf, or the root of a one-symbol input
-            continue
-        L = P[l]
-        w = P[r + 1] - L
-        ranges, stole, rshift = _split(l, r, L, w, s, table.cum, table.t)
-        bins = []
-        for a, b, m in ranges:
-            lo = L + w * table.cum[m - 1]
-            hi = L + w * table.cum[m]
-            e = bisect_left(s, lo, l, r + 1)
-            f = bisect_left(s, hi, l, r + 1) - 1
-            bins.append({
-                "letter": m,
-                "lo": lo,
-                "hi": hi,
-                "initial": [e, f] if f >= e else None,
-                "final": [a, b],
-                "initial_weight": P[f + 1] - P[e] if f >= e else 0.0,
-                "final_weight": P[b + 1] - P[a],
-            })
-        records.append({
-            "node": v,
-            "range": [l, r],
-            "interval": [L, P[r + 1]],
-            "weight": w,
-            "left_shifted": stole,
-            "right_shifted": rshift,
-            "right_shift_index": r if rshift else None,
-            "bins": bins,
-        })
-    return records
+    P, mid = tree.input.prefix, tree.input.mid
+    first, last, parent = tree._first, tree._last, tree._parent
+    node = np.flatnonzero(first < last)
+    kid = np.flatnonzero(first[parent[1:]] < last[parent[1:]]) + 1
+    up, m, a, b = parent[kid], tree._letter[kid], first[kid], last[kid]
+    l, r = first[up], last[up]
+    cum = tree._table.arrays(int(tree._letter.max()))[1]
+    L, w = P[l], P[r + 1] - P[l]
+    lo, hi = L + w * cum[m - 1], L + w * cum[m]
+    e = np.clip(np.searchsorted(mid, lo), l, r + 1)
+    f = np.clip(np.searchsorted(mid, hi), l, r + 1) - 1
+    # A split moved its last slot exactly when every midpoint lies in bin 1,
+    # its first child, and stole exactly when a bin other than a finite
+    # alphabet's last starts at or past its end (no moved split's bin does).
+    right = mid[last[node]] < hi[m == 1]
+    left = np.zeros(len(first), dtype=bool)
+    left[up[(m != tree._table.t) & (mid[a] >= hi)]] = True
+    return {
+        "split": {"node": node, "first": first[node], "last": last[node],
+                  "interval_lo": P[first[node]], "interval_hi": P[last[node] + 1],
+                  "left_shifted": left[node], "right_shifted": right,
+                  "bins": np.bincount(up, minlength=len(first))[node]},
+        "bin": {"letter": m, "lo": lo, "hi": hi, "initial_first": e, "initial_last": f,
+                "final_first": a, "final_last": b,
+                "initial_weight": np.where(f >= e, P[f + 1] - P[e], 0.0),
+                "final_weight": P[b + 1] - P[a]},
+    }

@@ -233,10 +233,10 @@ class CostSpec:
     """A letter-cost alphabet: explicit cost list or integer-cost profile.
 
     Exactly one of `costs` (nondecreasing positive floats) and `family` is set.
-    A cost list is kept in units of its cheapest letter: unless c_1 is within
-    1e-12 of 1, every cost is divided by c_1, which scales the root by c_1 and
-    changes no c*c_i.  `label` is a short display form, normally the DSL
-    string that produced it.
+    A cost list is kept as a tuple of floats in units of its cheapest letter:
+    unless c_1 is within 1e-12 of 1, every cost is divided by c_1, which
+    scales the root by c_1 and changes no c*c_i.  `label` is a short display
+    form, normally the DSL string that produced it.
     """
 
     costs: tuple[float, ...] | None = None
@@ -253,12 +253,13 @@ class CostSpec:
                 raise CostSpecError("letter costs must be positive and finite")
             if any(a > b for a, b in zip(self.costs, self.costs[1:])):
                 raise CostSpecError("letter costs must be nondecreasing")
-            c1 = self.costs[0]
+            costs = tuple(map(float, self.costs))
+            c1 = costs[0]
             if abs(c1 - 1.0) > 1e-12:
-                scaled = tuple(c / c1 for c in self.costs)
-                if not math.isfinite(scaled[-1]):
+                costs = tuple(c / c1 for c in costs)
+                if not math.isfinite(costs[-1]):
                     raise CostSpecError("letter costs must be positive and finite")
-                object.__setattr__(self, "costs", scaled)
+            object.__setattr__(self, "costs", costs)
 
     # -- basic shape ----------------------------------------------------
 

@@ -3,9 +3,10 @@
 Each takes the plainest route to what it reports: a parent walk per
 codeword, a sorted scan for prefixes, a merge heap for equal letter costs,
 the split itself in exact rationals, the characteristic root at 60 digits,
-a stable sort with three-pass long-double sums for the prepared input, and
-the repeat family that `linear` and `repeat:d` were built on before they
-became custom profiles with an empty prefix.
+a stable sort with three-pass long-double sums for the prepared input, the
+split kernel rerun per node for the trace, and the repeat family that
+`linear` and `repeat:d` were built on before they became custom profiles
+with an empty prefix.
 The program computes none of these itself; the tests hold its outputs
 against them.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from varncode import CostSpecError, ProbInputError
-from varncode.coder import _SUM_TOL, ProbInput
+from varncode.coder import _SUM_TOL, ProbInput, _split
 from varncode.costs import CostSpec, ProfileFamily
 
 
@@ -124,6 +125,79 @@ def tree_dict(tree) -> dict:
         if "children" in d:
             d["children"].sort(key=lambda ch: ch["letter_index"])
     return nodes[0]
+
+
+def reference_split_trace(tree) -> list[dict]:
+    """Every split of a built tree as one record per split node, with one
+    dict per bin, from `_split` rerun over each node on the tree's own
+    LetterTable: the form `split_trace` returned before it read columns off
+    the stored tree."""
+    pin = tree.input
+    P, s = pin.prefix.tolist(), pin.mid.tolist()
+    table = tree._table
+
+    records = []
+    for v, (l, r) in enumerate(zip(tree._first.tolist(), tree._last.tolist())):
+        if l == r:  # a leaf, or the root of a one-symbol input
+            continue
+        L = P[l]
+        w = P[r + 1] - L
+        ranges, stole, rshift = _split(l, r, L, w, s, table.cum, table.t)
+        bins = []
+        for a, b, m in ranges:
+            lo = L + w * table.cum[m - 1]
+            hi = L + w * table.cum[m]
+            e = bisect_left(s, lo, l, r + 1)
+            f = bisect_left(s, hi, l, r + 1) - 1
+            bins.append({
+                "letter": m,
+                "lo": lo,
+                "hi": hi,
+                "initial": [e, f] if f >= e else None,
+                "final": [a, b],
+                "initial_weight": P[f + 1] - P[e] if f >= e else 0.0,
+                "final_weight": P[b + 1] - P[a],
+            })
+        records.append({
+            "node": v,
+            "range": [l, r],
+            "interval": [L, P[r + 1]],
+            "weight": w,
+            "left_shifted": stole,
+            "right_shifted": rshift,
+            "right_shift_index": r if rshift else None,
+            "bins": bins,
+        })
+    return records
+
+
+SPLIT_COLUMNS = ("node", "first", "last", "interval_lo", "interval_hi",
+                 "left_shifted", "right_shifted", "bins")
+BIN_COLUMNS = ("letter", "lo", "hi", "initial_first", "initial_last", "final_first",
+               "final_last", "initial_weight", "final_weight")
+
+
+def trace_records(columns) -> list[dict]:
+    """`reference_split_trace`'s records rebuilt from `split_trace` columns,
+    numpy arrays or the JSON lists `code --trace` prints.  Each split's
+    weight is interval_hi - interval_lo, the float subtraction the split
+    read, and a right-shifted split moved its last slot."""
+    split, bin_ = ({k: np.asarray(x).tolist() for k, x in columns[part].items()}
+                   for part in ("split", "bin"))
+    assert set(split) == set(SPLIT_COLUMNS) and set(bin_) == set(BIN_COLUMNS)
+    bins = [{"letter": m, "lo": lo, "hi": hi,
+             "initial": [e, f] if f >= e else None, "final": [a, b],
+             "initial_weight": iw, "final_weight": fw}
+            for m, lo, hi, e, f, a, b, iw, fw in zip(*(bin_[k] for k in BIN_COLUMNS))]
+    records, at = [], 0
+    for v, l, r, lo, hi, left, right, k in zip(*(split[k] for k in SPLIT_COLUMNS)):
+        records.append({"node": v, "range": [l, r], "interval": [lo, hi],
+                        "weight": hi - lo, "left_shifted": left, "right_shifted": right,
+                        "right_shift_index": r if right else None,
+                        "bins": bins[at:at + k]})
+        at += k
+    assert at == len(bins)
+    return records
 
 
 def exact_split_costs(tree) -> list[float]:

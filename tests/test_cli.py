@@ -29,7 +29,13 @@ from varncode.cli import (
     root_dict,
 )
 
-from code_reference import codeword_cost, codeword_letters, tree_dict
+from code_reference import (
+    codeword_cost,
+    codeword_letters,
+    reference_split_trace,
+    trace_records,
+    tree_dict,
+)
 
 EXIT_ORACLE = 4
 
@@ -80,9 +86,25 @@ def test_parse_gen():
     assert parse_gen("dyadic:1", 0).tolist() == [1.0]
     from varncode import ProbInputError
     for bad in ("uniform", "zipf:9", "geom:0.5", "wat:3", "uniform:x", "uniform:0",
-                "geom:1.5,6", "geom:0,6"):
+                "geom:1.5,6", "geom:0,6", "zipf:,40", "geom:,12", "zipf:x,5"):
         with pytest.raises(ProbInputError):
             parse_gen(bad, 0)
+
+
+def test_make_probs_refuses_parameters_it_does_not_read():
+    """A parameter is read or refused: uniform and dyadic take none, and
+    zipf and geom take a number after their colon."""
+    from varncode import ProbInputError
+    for bad in ("uniform:junk", "dyadic:7", "uniform:", "zipf:x", "zipf:", "geom:"):
+        with pytest.raises(ProbInputError):
+            make_probs(bad, 5, 0)
+    assert make_probs("zipf", 5, 0).tolist() == make_probs("zipf:1.0", 5, 0).tolist()
+    assert make_probs("geom", 5, 0).tolist() == make_probs("geom:0.5", 5, 0).tolist()
+    for argv in (("bench", "--costs", "linear", "--sizes", "5", "--dist", "uniform:junk"),
+                 ("bench", "--costs", "linear", "--sizes", "5", "--dist", "dyadic:7"),
+                 ("code", "--costs", "linear", "--gen", "zipf:,40"),
+                 ("code", "--costs", "linear", "--gen", "geom:,12")):
+        assert main(list(argv)) == EXIT_PARSE
 
 
 def test_read_probs_file(tmp_path):
@@ -160,7 +182,7 @@ def test_code_json_trace_and_tree(capsys):
     assert "trace" in d
     assert "tree" in d
     assert d["tree"]["letter_index"] == 0
-    ev = d["trace"][0]
+    ev = trace_records(d["trace"])[0]
     assert ev["range"] == [0, 2]
     assert ev["bins"][0]["letter"] == 1
 
@@ -360,7 +382,10 @@ def reference_code_output(costs, gen, fmt, trace=False, tree=False):
         if tree:
             payload["tree"] = tree_dict(built)
         if trace:
-            payload["trace"] = split_trace(built)
+            columns = split_trace(built)
+            assert trace_records(columns) == reference_split_trace(built)
+            payload["trace"] = {part: {k: x.tolist() for k, x in cols.items()}
+                                for part, cols in columns.items()}
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=buf)
     else:
         for i, letters, cost in words:

@@ -31,6 +31,7 @@ from code_reference import (
     exact_split_costs,
     kraft_sum,
     reference_prepare,
+    trace_records,
     tree_dict,
     verify_prefix_free,
 )
@@ -203,7 +204,7 @@ def test_two_equal_symbols_right_shift():
     assert codeword_letters(tree, 0) == (1,)
     assert codeword_letters(tree, 1) == (2,)
     assert tree.cost() == pytest.approx(3.0)
-    trace = split_trace(tree)
+    trace = trace_records(split_trace(tree))
     ev = trace[0]
     assert ev["right_shifted"]
     assert ev["right_shift_index"] == 1
@@ -213,7 +214,7 @@ def test_two_equal_symbols_right_shift():
 
 def test_left_shift_takes_one_item():
     tree = build([0.9, 0.06, 0.04], "finite:1,2,3")
-    ev = split_trace(tree)[0]
+    ev = trace_records(split_trace(tree))[0]
     assert ev["left_shifted"]
     stolen = [b for b in ev["bins"] if b["initial"] is None]
     assert stolen
@@ -504,7 +505,7 @@ def test_nodes_in_level_order_and_stats_count_them(spec_text, gen):
     assert stats.internal == sum(not tree.is_leaf(v) for v in range(tree.num_nodes))
     assert stats.max_depth == depth.max()
     assert stats.max_letter == letter.max()
-    splits = split_trace(tree)
+    splits = trace_records(split_trace(tree))
     assert stats.left_shifts == sum(e["left_shifted"] for e in splits)
     assert stats.right_shifts == sum(e["right_shifted"] for e in splits)
     assert 0 < stats.bins_evaluated
@@ -515,7 +516,7 @@ def test_tree_pickles_with_its_lazy_letter_table(spec_text):
     tree = build(THIRDS_SIXTHS, spec_text)
     copy = pickle.loads(pickle.dumps(tree))
     assert list(copy.codewords()) == list(tree.codewords())
-    assert split_trace(copy) == split_trace(tree)
+    assert trace_records(split_trace(copy)) == trace_records(split_trace(tree))
 
 
 @pytest.mark.parametrize("probs", [[1.0, 1e-300, 1e-300], [0.0, 1.0, 5e-324]])
@@ -560,7 +561,7 @@ def check_trace(tree, spec, root):
     pin = tree.input
     mid = pin.mid
     z_pow = {}
-    for ev in split_trace(tree):
+    for ev in trace_records(split_trace(tree)):
         first, last = ev["range"]
         lo, hi = ev["interval"]
         bins = ev["bins"]
@@ -615,14 +616,16 @@ def test_trace_invariants_random():
         pin = prepare(p, normalize=True)
         tree = build_code(pin, spec, root)
         check_trace(tree, spec, root)
-        assert sum(len(e["bins"]) for e in split_trace(tree)) == tree.num_nodes - 1
+        assert sum(len(e["bins"]) for e in trace_records(split_trace(tree))) == \
+            tree.num_nodes - 1
 
 
 BIN_KEYS = ("letter", "lo", "hi", "initial", "final", "initial_weight", "final_weight")
 
 
 def record(node, slots, interval, weight, left, right, right_index, *bins):
-    """A `code --trace --format json` record; each bin is a tuple in BIN_KEYS order."""
+    """A trace record as `trace_records` rebuilds it; each bin is a tuple in
+    BIN_KEYS order."""
     return {"node": node, "range": slots, "interval": interval, "weight": weight,
             "left_shifted": left, "right_shifted": right,
             "right_shift_index": right_index,
@@ -631,7 +634,7 @@ def record(node, slots, interval, weight, left, right, right_index, *bins):
 
 # `code --trace --format json` records as printed while the trace was still
 # recorded inside build_code's loop, with the bin ends re-pinned at roots
-# within a few ulps; split_trace reproduces them exactly.
+# within a few ulps; split_trace's columns rebuild them exactly.
 PINNED_TRACES = [
     # left shift
     ('finite:1,2,3', '0.9,0.06,0.04', [
@@ -701,7 +704,7 @@ def test_split_trace_pinned(spec_text, probs, expected):
         tree = build(parse_gen(probs, 0), spec_text)
     else:
         tree = build([float(p) for p in probs.split(",")], spec_text)
-    assert split_trace(tree) == expected
+    assert trace_records(split_trace(tree)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from varncode import (
@@ -216,6 +217,23 @@ def test_normalize_rescales_finite_lists():
         CostSpec(costs=(1e-300, 1e10))
     # Profiles keep their integer levels, whatever their cheapest cost.
     assert parse_cost_spec("profile:0,2").letter_cost(1) == 2.0
+
+
+@pytest.mark.parametrize("given,costs", [
+    ([1.0, 2.0], (1.0, 2.0)),
+    (np.array([1.0, 3.0]), (1.0, 3.0)),
+    ((1, 2), (1.0, 2.0)),
+    (np.array([2, 3]), (1.0, 1.5)),
+    ([2.0, 3.0], (1.0, 1.5)),
+])
+def test_finite_costs_are_stored_as_a_tuple_of_floats(given, costs):
+    """Whatever container holds the costs, the spec keeps a tuple of floats,
+    so it hashes and compares like its DSL spelling."""
+    spec = CostSpec(costs=given, label="finite:" + ",".join(f"{c:g}" for c in given))
+    assert spec.costs == costs
+    assert type(spec.costs) is tuple and all(type(c) is float for c in spec.costs)
+    assert spec == CostSpec(costs=given, label=spec.label) == parse_cost_spec(spec.label)
+    assert hash(spec) == hash(parse_cost_spec(spec.label))
 
 
 def test_char_sum_decreases():

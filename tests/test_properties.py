@@ -4,7 +4,8 @@ Any spec and vector build a prefix-free code within the Kraft bound, deep
 geometric tails whose bins collapse below an ulp included; the numpy and the
 scalar split paths build the same tree bit for bit, and under two letters
 count the same bin ends; split_trace describes
-exactly the tree it was derived from; every bound row the report applies
+exactly the tree it was derived from, and its columns rebuild the records of
+the split kernel rerun over every node; every bound row the report applies
 holds, and the cost and entropy decompositions add up; the exact oracle finds
 what its unpruned search finds; the characteristic root is within 8 unit
 roundoffs of its 60-digit value for cost ratios up to 1e300; a hand-built
@@ -54,7 +55,9 @@ from code_reference import (
     kraft_sum,
     reference_prepare,
     reference_repeat,
+    reference_split_trace,
     repeat_table,
+    trace_records,
     verify_prefix_free,
 )
 from test_oracle import assert_matches_reference
@@ -139,7 +142,7 @@ def test_build_is_prefix_free_and_its_trace_is_the_tree(spec_text, weights):
     assert verify_prefix_free([w for _, w, _ in tree.codewords()])
     assert kraft_sum(tree) <= 1 + 1e-9
 
-    trace = split_trace(tree)
+    trace = trace_records(split_trace(tree))
     if tree.n == 1:
         assert trace == []
         return
@@ -162,6 +165,29 @@ def test_build_is_prefix_free_and_its_trace_is_the_tree(spec_text, weights):
         for m, (a, b) in zip(letters, finals):
             u = child[(v, m)]
             assert [first[u], last[u]] == [a, b]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(spec_text=specs, weights=build_vectors)
+# A right shift, in a level of two blocks.
+@example(spec_text="finite:1,5", weights=[1.0] * 9)
+# A tree whose top levels split on the numpy path.
+@example(spec_text="finite:1,1,5", weights=[1.0] * 100)
+# A level of zero-width blocks only, whose chains finish in closed form.
+@example(spec_text="finite:1,2", weights=[1.0] + [0.0] * 1500)
+@example(spec_text="finite:1,1,5", weights=[1.0] + [0.0] * 1500)
+@example(spec_text="linear", weights=[1.0] + [0.0] * 1500)
+@example(spec_text="linear", weights=[1.0])
+# More letters than numpy's int64 holds (t = 10**19 + 1).
+@example(spec_text="profile:1e19,1", weights=[1.0] * 100)
+def test_trace_columns_are_the_split_kernel_rerun(spec_text, weights):
+    spec = parse_cost_spec(spec_text)
+    tree = build_code(prepare(weights, normalize=True), spec, char_root(spec))
+    columns = split_trace(tree)
+    assert trace_records(columns) == reference_split_trace(tree)
+    if tree.n >= 2:
+        assert (int(columns["split"]["bins"].sum()) == len(columns["bin"]["letter"])
+                == tree.num_nodes - 1)
 
 
 def _build_on_one_path(slots, spec_text, weights):

@@ -45,6 +45,9 @@ PARSE_ERRORS = (
     ("root", "--costs", "profile:1e308,1e308"),
     ("root",),
     ("code", "--costs", "linear", "--gen", "nope:3"),
+    # Generator text that names no parameter where one is read.
+    ("code", "--costs", "linear", "--gen", "zipf:,40"),
+    ("code", "--costs", "linear", "--gen", "geom:,12"),
     ("code", "--costs", "linear", "--inline", "0.5,x"),
     ("code", "--costs", "linear", "--inline", "0.5,0.4"),
     ("bounds", "--costs", "fib", "--gen", "uniform:5", "--epsilon", "0"),
@@ -92,6 +95,10 @@ COLLAPSED_BINS = tuple(("--gen", g) for g in (
     "dyadic:100"))
 # Above _VECTOR_SLOTS (64) symbols, so the trace and tree read a numpy-built tree.
 NUMPY_INPUT = ("--gen", "zipf:1.0,300")
+# The trace alone, in both formats: of a right-shifted split, and of a tree
+# whose zero-width blocks reach `_Walk.chains` on the numpy path.
+TRACED = (("--costs", "finite:1,5", "--inline", "0.5,0.5"),
+          ("--costs", "finite:1,2", "--gen", "geom:0.3,100"))
 # The oracle at the largest n it takes, the size its audits search.
 ORACLE_INPUT = ("--gen", "zipf:1.0,10")
 # An optimal code whose C(T) is 1 ulp below OPT's rearranged sum at 3.3e299.
@@ -132,6 +139,9 @@ def cases():
         for inp in COLLAPSED_BINS + (NUMPY_INPUT,):
             for extra in ((), ("--trace", "--tree")):
                 yield ("code", "--costs", spec) + inp + ("--format", "json") + extra
+    for case in TRACED:
+        for fmt in FORMATS:
+            yield ("code",) + case + fmt + ("--trace",)
 
 
 def run(main, argv):
